@@ -103,7 +103,9 @@ type Config struct {
 
 	// OnFrame and OnTPDU are receive-side delivery callbacks.
 	OnFrame func(xid uint32, data []byte)
-	// OnTPDU fires once per TPDU with its end-to-end verdict.
+	// OnTPDU fires each time a TPDU reaches an end-to-end verdict: once
+	// per TPDU on a clean path, again after a failed TPDU is rebuilt
+	// from a retransmission (see transport.ReceiverConfig.OnTPDU).
 	OnTPDU func(tid uint32, v errdet.Verdict)
 
 	// Telemetry, when set, receives the connection's runtime metrics

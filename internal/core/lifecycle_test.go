@@ -48,6 +48,19 @@ func TestSpoofCannotHijackControl(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	// Establish the real connection before the spoofer starts: the
+	// spoofer's first datagram would otherwise race the real open
+	// signal and could become the primary connection WaitClosed reads.
+	head := 1024
+	if err := conn.Write(data[:head]); err != nil {
+		t.Fatal(err)
+	}
+	for deadline := time.Now().Add(5 * time.Second); srv.ConnCount() == 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("real connection never established")
+		}
+	}
+
 	// Spoof continuously while the transfer runs.
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
@@ -67,7 +80,7 @@ func TestSpoofCannotHijackControl(t *testing.T) {
 		}
 	}()
 
-	if err := conn.Write(data); err != nil {
+	if err := conn.Write(data[head:]); err != nil {
 		t.Fatal(err)
 	}
 	if err := conn.Close(); err != nil {

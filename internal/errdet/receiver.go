@@ -479,6 +479,26 @@ func (r *Receiver) TPDUExtent(tid uint32) (lo, hi uint64, ok bool) {
 	return t.delta, t.delta + end, true
 }
 
+// XExtent returns the connection-stream (C.SN) element range [lo, hi)
+// of an external PDU whose end is known — where its ALF frame sits in
+// the placed stream. Both bounds come only from chunks that passed the
+// C.SN-X.SN consistency check, so a rejected chunk cannot move them. ok
+// is false when the external PDU is unknown or its X.ST element has not
+// arrived.
+//
+//lint:hot
+func (r *Receiver) XExtent(xid uint32) (lo, hi uint64, ok bool) {
+	x := r.xs[xid]
+	if x == nil {
+		return 0, 0, false
+	}
+	end, haveEnd := x.pdu.End()
+	if !haveEnd {
+		return 0, 0, false
+	}
+	return x.delta, x.delta + end, true
+}
+
 // Verdict returns the current verdict for a TPDU.
 func (r *Receiver) Verdict(tid uint32) Verdict {
 	t := r.tpdus[tid]

@@ -224,6 +224,30 @@ func TestReceiverXComplete(t *testing.T) {
 	}
 }
 
+// TestReceiverXExtent: the external PDU's stream range is known once
+// its X.ST element arrives, and a forged X.ST chunk that fails the
+// C.SN-X.SN check does not move it.
+func TestReceiverXExtent(t *testing.T) {
+	frags, _ := buildTPDU(t, 1, 40, 8)
+	xid := frags[0].X.ID
+	r := newReceiver(t)
+	if _, _, ok := r.XExtent(xid); ok {
+		t.Fatal("extent known before any data")
+	}
+	last := len(frags) - 1
+	ingestAll(t, r, frags[:last])
+	if _, _, ok := r.XExtent(xid); ok {
+		t.Fatal("extent known before the X.ST element")
+	}
+	forged := frags[last].Clone()
+	forged.X.SN += 100000
+	ingestAll(t, r, []chunk.Chunk{forged, frags[last]})
+	lo, hi, ok := r.XExtent(xid)
+	if want := frags[0].C.SN; !ok || lo != want || hi != want+40 {
+		t.Fatalf("XExtent = [%d, %d) %v, want [%d, %d) true", lo, hi, ok, want, want+40)
+	}
+}
+
 func TestReceiverIgnoresTransportControl(t *testing.T) {
 	r := newReceiver(t)
 	sig := chunk.Chunk{Type: chunk.TypeSignal, Size: 1, Len: 1, Payload: []byte{1}}

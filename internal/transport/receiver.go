@@ -21,8 +21,11 @@ type ReceiverConfig struct {
 	// OnFrame, when set, is called once per completed external PDU
 	// (ALF frame) with the frame's bytes.
 	OnFrame func(xid uint32, data []byte)
-	// OnTPDU, when set, is called once per TPDU with its final
-	// verdict.
+	// OnTPDU, when set, is called each time a TPDU goes from pending to
+	// a final verdict: once per TPDU on a clean path, and again when a
+	// TPDU that failed is rebuilt from a retransmission (so a
+	// VerdictEDMismatch may be followed by VerdictOK) or a retired
+	// TPDU's duplicate is re-verified.
 	OnTPDU func(tid uint32, v errdet.Verdict)
 	// Repair enables single-symbol error correction: a TPDU failing
 	// the parity compare is repaired in place when the WSC-2 syndrome
@@ -90,25 +93,17 @@ type Receiver struct {
 
 	repaired  int
 	reaped    int
-	verified  int               // TPDUs acknowledged (survives retirement)
-	pending   int               // TPDUs tracked without a final verdict (NeedsPoll)
-	tids      map[uint32]bool   // every TPDU seen (for polling)
-	progress  map[uint32]uint64 // reassembly fingerprint at last Poll
-	stalled   map[uint32]int    // consecutive no-progress polls
-	stale     map[uint32]int    // no-progress polls since last progress (for reaping)
-	acked     map[uint32]bool
-	notified  map[uint32]bool     // OnTPDU fired
-	delivered map[uint32]bool     // frames delivered
-	frames    map[uint32]frameRec // X.ID -> placement info
+	verified  int                // TPDUs acknowledged (survives retirement)
+	pending   int                // records without a final verdict (NeedsPoll)
+	recs      map[uint32]recvRec // T.ID -> the TPDU's transport state
+	delivered map[uint32]bool    // X.IDs whose frame OnFrame has seen
 
 	// ackRing is the FIFO of acknowledged TPDUs awaiting retirement
 	// (RetireVerified > 0); ringHead indexes its oldest live entry.
 	ackRing  []uint32
 	ringHead int
 
-	round     int             // Poll rounds elapsed (telemetry timeline)
-	firstSeen map[uint32]int  // Poll round a TPDU's first chunk arrived in
-	verdicted map[uint32]bool // verdict telemetry closed out (once per TPDU)
+	round int // Poll rounds elapsed (telemetry timeline)
 
 	pack packet.Packer
 	tel  recvTel
@@ -155,11 +150,20 @@ func newRecvTel(t telemetry.Sink) recvTel {
 	}
 }
 
-// frameRec locates an external PDU within the connection stream.
-type frameRec struct {
-	startElem uint64 // C.SN of the frame's element 0 (C.SN - X.SN)
-	endElems  uint64 // frame length in elements, once X.ST seen
-	haveEnd   bool
+// recvRec is the receiver's whole state for one tracked TPDU: a
+// record is created by the TPDU's first chunk and removed by one delete
+// when the TPDU retires or is reaped. It holds no capacity, so it is a
+// plain map value. A record is pending until errdet reaches a verdict,
+// then final; a final TPDU that errdet rebuilds (a retransmission after
+// a WSC-2 mismatch) is pending again.
+type recvRec struct {
+	fp      uint64 // reassembly fingerprint at the last Poll (when haveFP)
+	first   int    // Poll round the TPDU last became pending
+	stale   int    // polls since the last arrival (reaping)
+	stalled uint8  // consecutive polls without progress (stall reset)
+	haveFP  bool
+	final   bool // verdict reported
+	acked   bool // verified OK and acknowledged
 }
 
 // NewReceiver returns a Receiver; control datagrams (ACK/NACK packets)
@@ -180,16 +184,8 @@ func NewReceiver(cfg ReceiverConfig, out func([]byte)) (*Receiver, error) {
 		cfg:       cfg,
 		out:       out,
 		ed:        ed,
-		tids:      make(map[uint32]bool),
-		progress:  make(map[uint32]uint64),
-		stalled:   make(map[uint32]int),
-		stale:     make(map[uint32]int),
-		acked:     make(map[uint32]bool),
-		notified:  make(map[uint32]bool),
+		recs:      make(map[uint32]recvRec),
 		delivered: make(map[uint32]bool),
-		frames:    make(map[uint32]frameRec),
-		firstSeen: make(map[uint32]int),
-		verdicted: make(map[uint32]bool),
 		pack:      packet.Packer{MTU: cfg.MTU, Buffers: new(packet.BufferPool)},
 		tel:       newRecvTel(cfg.Tel),
 		ackBuf:    make([]byte, 0, 4),
@@ -275,7 +271,6 @@ func (r *Receiver) HandleChunk(c *chunk.Chunk) error {
 		}
 		return nil
 	case chunk.TypeData:
-		r.trackFrame(c)
 		r.tel.chunks.Inc()
 		r.tel.chunkLen.Observe(int64(c.Len))
 		r.tel.ring.Record(telemetry.EvReceived, c.C.ID, c.T.ID, c.T.SN, int64(c.Len))
@@ -294,7 +289,7 @@ func (r *Receiver) HandleChunk(c *chunk.Chunk) error {
 					r.rejected = true
 					return ErrConnectionRejected
 				}
-				r.seen(c.T.ID)
+				r.track(c.T.ID)
 				return nil
 			}
 			return err
@@ -308,17 +303,15 @@ func (r *Receiver) HandleChunk(c *chunk.Chunk) error {
 			r.place(c, iv.Lo, iv.Hi)
 			r.tel.ring.Record(telemetry.EvPlaced, c.C.ID, c.T.ID, iv.Lo, int64(iv.Hi-iv.Lo))
 		}
-		r.seen(c.T.ID)
 		r.tel.intervals.Observe(int64(r.ed.Fragments(c.T.ID)))
-		r.after(c.T.ID)
+		r.track(c.T.ID)
 		r.deliverFrames(c.X.ID)
 		return nil
 	case chunk.TypeED:
 		if err := r.ed.Ingest(c); err != nil {
 			return err
 		}
-		r.seen(c.T.ID)
-		r.after(c.T.ID)
+		r.track(c.T.ID)
 		return nil
 	case chunk.TypeAck, chunk.TypeNack:
 		return nil // peer's control towards its own sender role
@@ -362,65 +355,49 @@ func (r *Receiver) place(c *chunk.Chunk, lo, hi uint64) {
 	copy(r.stream[dst:dst+n], c.Payload[off:off+n])
 }
 
-// trackFrame records where external PDU c.X.ID sits in the stream.
+// track updates TPDU tid's record after errdet has taken one of its
+// chunks. An arrival clears staleness. A TPDU is pending from its first
+// chunk until errdet reaches a verdict; that transition is reported
+// once (repair, OnTPDU, verdict telemetry). A verified TPDU is
+// acknowledged on first completion AND on every later duplicate: a
+// duplicate means the sender retransmitted, so the previous ACK was
+// lost (the ACK may be piggybacked by the packer with other control,
+// Appendix A).
 //
 //lint:hot
-func (r *Receiver) trackFrame(c *chunk.Chunk) {
-	f, ok := r.frames[c.X.ID]
-	if !ok {
-		f = frameRec{startElem: c.C.SN - c.X.SN}
-	}
-	if c.X.ST {
-		f.endElems = c.X.SN + uint64(c.Len)
-		f.haveEnd = true
-	}
-	r.frames[c.X.ID] = f
-}
-
-// seen marks a TPDU as alive (not stale) and stamps the Poll round its
-// first chunk arrived in, for the reassembly-latency histogram.
-func (r *Receiver) seen(tid uint32) {
-	r.tids[tid] = true
-	delete(r.stale, tid) // arrival: the TPDU is not stale
-	// Don't restart the latency clock for duplicates of a TPDU whose
-	// verdict telemetry already closed out (a retransmission after a
-	// lost ACK) — that would double-count the verdict in after().
-	if _, ok := r.firstSeen[tid]; !ok && !r.verdicted[tid] {
-		r.firstSeen[tid] = r.round
+func (r *Receiver) track(tid uint32) {
+	rec, ok := r.recs[tid]
+	v := r.ed.Verdict(tid)
+	if !ok || (rec.final && v == errdet.VerdictPending) {
+		// A new TPDU, or a failed one errdet is rebuilding from a
+		// retransmission: pending from this round.
+		rec = recvRec{first: r.round}
 		r.pending++
 	}
-}
-
-// after runs completion actions once a TPDU reaches a verdict:
-// acknowledge verified TPDUs (the ACK may be piggybacked by the packer
-// with other control, Appendix A).
-//
-//lint:hot
-func (r *Receiver) after(tid uint32) {
-	v := r.ed.Verdict(tid)
-	if v == errdet.VerdictPending {
-		return
-	}
-	if v == errdet.VerdictEDMismatch && r.cfg.Repair {
-		if cor, ok := r.ed.Repair(tid); ok {
-			cor.Apply(r.stream, r.size())
-			r.repaired++
-			r.tel.repaired.Inc()
-			v = r.ed.Verdict(tid)
+	rec.stale = 0
+	report := v != errdet.VerdictPending && !rec.final
+	if report {
+		if v == errdet.VerdictEDMismatch && r.cfg.Repair {
+			if cor, ok := r.ed.Repair(tid); ok {
+				cor.Apply(r.stream, r.size())
+				r.repaired++
+				r.tel.repaired.Inc()
+				v = r.ed.Verdict(tid)
+			}
 		}
-	}
-	if r.cfg.OnTPDU != nil && !r.notified[tid] {
-		r.notified[tid] = true
-		r.cfg.OnTPDU(tid, v)
-	}
-	// First time this TPDU reaches a verdict: close out its telemetry
-	// (reassembly latency in Poll rounds, verified/failed counts, the
-	// TPDU-complete lifecycle event).
-	if first, ok := r.firstSeen[tid]; ok {
-		delete(r.firstSeen, tid)
-		r.verdicted[tid] = true
+		rec.final = true
 		r.pending--
-		r.tel.polls.Observe(int64(r.round - first))
+	}
+	newAck := v == errdet.VerdictOK && !rec.acked
+	rec.acked = rec.acked || newAck
+	// Written back before any callback runs, so a callback that feeds
+	// this receiver again sees the current record.
+	r.recs[tid] = rec
+	if report {
+		if r.cfg.OnTPDU != nil {
+			r.cfg.OnTPDU(tid, v)
+		}
+		r.tel.polls.Observe(int64(r.round - rec.first))
 		if v == errdet.VerdictOK {
 			r.tel.verified.Inc()
 			r.tel.ring.Record(telemetry.EvComplete, r.cid, tid, uint64(tid), 0)
@@ -428,31 +405,27 @@ func (r *Receiver) after(tid uint32) {
 			r.tel.failed.Inc()
 		}
 	}
-	if v == errdet.VerdictOK {
-		// ACK on first completion AND on every later duplicate: a
-		// duplicate means the sender retransmitted, which means the
-		// previous ACK was lost.
-		if !r.acked[tid] {
-			r.acked[tid] = true
-			r.verified++
-			if r.cfg.RetireVerified > 0 {
-				r.ackRing = append(r.ackRing, tid)
-				for len(r.ackRing)-r.ringHead > r.cfg.RetireVerified {
-					old := r.ackRing[r.ringHead]
-					r.ackRing[r.ringHead] = 0
-					r.ringHead++
-					r.retire(old)
-				}
-				// Compact the ring once the dead prefix dominates, so
-				// the FIFO stays O(RetireVerified) without per-ACK
-				// reallocation.
-				if r.ringHead >= 64 && r.ringHead*2 >= len(r.ackRing) {
-					n := copy(r.ackRing, r.ackRing[r.ringHead:])
-					r.ackRing = r.ackRing[:n]
-					r.ringHead = 0
-				}
+	if newAck {
+		r.verified++
+		if r.cfg.RetireVerified > 0 {
+			r.ackRing = append(r.ackRing, tid)
+			for len(r.ackRing)-r.ringHead > r.cfg.RetireVerified {
+				old := r.ackRing[r.ringHead]
+				r.ackRing[r.ringHead] = 0
+				r.ringHead++
+				r.retire(old)
+			}
+			// Compact the ring once the dead prefix dominates, so
+			// the FIFO stays O(RetireVerified) without per-ACK
+			// reallocation.
+			if r.ringHead >= 64 && r.ringHead*2 >= len(r.ackRing) {
+				n := copy(r.ackRing, r.ackRing[r.ringHead:])
+				r.ackRing = r.ackRing[:n]
+				r.ringHead = 0
 			}
 		}
+	}
+	if v == errdet.VerdictOK {
 		r.emitAck(tid)
 	}
 }
@@ -475,14 +448,7 @@ func (r *Receiver) retire(tid uint32) {
 		}
 	}
 	r.ed.Retire(tid)
-	delete(r.tids, tid)
-	delete(r.progress, tid)
-	delete(r.stalled, tid)
-	delete(r.stale, tid)
-	delete(r.acked, tid)
-	delete(r.notified, tid)
-	delete(r.firstSeen, tid)
-	delete(r.verdicted, tid)
+	delete(r.recs, tid)
 }
 
 // size returns the connection element size (signaled, defaulting to 4).
@@ -493,23 +459,24 @@ func (r *Receiver) size() uint16 {
 	return r.elemSize
 }
 
-// deliverFrames fires OnFrame for completed external PDUs. Under
-// RetireVerified the frame's tracking state is retired right after
-// completion (delivered or not), so per-frame state is recycled in
-// step with per-TPDU state.
+// deliverFrames fires OnFrame for completed external PDUs, at the
+// stream position errdet verified (XExtent), so a chunk errdet rejected
+// cannot move a frame. Under RetireVerified the frame's tracking state
+// is retired right after completion (delivered or not), so per-frame
+// state is recycled in step with per-TPDU state.
 //
 //lint:hot
 func (r *Receiver) deliverFrames(xid uint32) {
-	f, ok := r.frames[xid]
-	if !ok || !f.haveEnd || !r.ed.XComplete(xid) {
+	if !r.ed.XComplete(xid) {
 		return
 	}
 	if r.cfg.OnFrame != nil && !r.delivered[xid] {
 		r.delivered[xid] = true
-		es := uint64(r.size())
-		if f.startElem >= r.streamBase {
-			lo := (f.startElem - r.streamBase) * es
-			hi := lo + f.endElems*es
+		// A complete external PDU always has a known extent.
+		lo, hi, _ := r.ed.XExtent(xid)
+		if lo >= r.streamBase {
+			es := uint64(r.size())
+			lo, hi = (lo-r.streamBase)*es, (hi-r.streamBase)*es
 			if hi <= uint64(len(r.stream)) {
 				r.cfg.OnFrame(xid, r.stream[lo:hi])
 			}
@@ -517,7 +484,6 @@ func (r *Receiver) deliverFrames(xid uint32) {
 	}
 	if r.cfg.RetireVerified > 0 {
 		r.ed.RetireX(xid)
-		delete(r.frames, xid)
 		delete(r.delivered, xid)
 	}
 }
@@ -535,13 +501,14 @@ func (r *Receiver) Poll() {
 	// slices.Sort needs no closure, keeping quiescent polls
 	// allocation-free.
 	tids := r.pollTids[:0]
-	for tid := range r.tids {
+	for tid := range r.recs {
 		tids = append(tids, tid)
 	}
 	slices.Sort(tids)
 	r.pollTids = tids
 	for _, tid := range tids {
-		if r.acked[tid] || r.ed.Verdict(tid) != errdet.VerdictPending {
+		rec := r.recs[tid]
+		if rec.final {
 			continue
 		}
 		miss := r.ed.Missing(tid)
@@ -554,53 +521,44 @@ func (r *Receiver) Poll() {
 			fp |= 1
 		}
 		// Reaping: an incomplete TPDU with no chunk arrivals for
-		// ReapAfter polls (r.stale is zeroed on every arrival) is
+		// ReapAfter polls (track zeroes stale on every arrival) is
 		// given up on entirely — its verification state is dropped so
 		// a lossy or dead peer cannot pin receiver memory without
 		// bound. A retransmission arriving later rebuilds it from
 		// scratch.
-		r.stale[tid]++
-		if r.cfg.ReapAfter > 0 && r.stale[tid] >= r.cfg.ReapAfter {
-			if _, ok := r.firstSeen[tid]; ok {
-				r.pending--
-			}
+		rec.stale++
+		if r.cfg.ReapAfter > 0 && rec.stale >= r.cfg.ReapAfter {
+			r.pending--
 			r.ed.ResetTPDU(tid)
-			delete(r.tids, tid)
-			delete(r.progress, tid)
-			delete(r.stalled, tid)
-			delete(r.stale, tid)
-			delete(r.firstSeen, tid)
-			delete(r.verdicted, tid)
+			delete(r.recs, tid)
 			r.reaped++
 			r.tel.reapedC.Inc()
 			r.tel.ring.Record(telemetry.EvReaped, r.cid, tid, uint64(tid), 0)
 			continue
 		}
-		if prev, ok := r.progress[tid]; !ok || prev != fp {
-			r.progress[tid] = fp
-			r.stalled[tid] = 0
-			continue
-		}
-		// Stall escalation: a TPDU that keeps receiving
-		// retransmissions without converging had its verification
-		// state poisoned (e.g. a corrupted first chunk seeded wrong
-		// consistency baselines). Reset it and rebuild from the next
-		// retransmission.
-		r.stalled[tid]++
-		if r.stalled[tid] >= 4 {
-			r.stalled[tid] = 0
-			delete(r.progress, tid)
+		switch {
+		case !rec.haveFP || rec.fp != fp:
+			rec.fp, rec.haveFP, rec.stalled = fp, true, 0
+		case rec.stalled+1 >= 4:
+			// Stall escalation: a TPDU that keeps receiving
+			// retransmissions without converging had its verification
+			// state poisoned (e.g. a corrupted first chunk seeded wrong
+			// consistency baselines). Reset it and rebuild from the next
+			// retransmission.
+			rec.stalled, rec.haveFP = 0, false
 			r.ed.ResetTPDU(tid)
 			ctrl = append(ctrl, Nack(r.cid, tid, []vr.Interval{{Lo: 0, Hi: ^uint64(0)}}))
-			continue
+		default:
+			rec.stalled++
+			if !haveEnd {
+				// The T.ST chunk is lost: ask for everything from the
+				// highest element seen onward; the sender clips the
+				// request to the TPDU's real extent.
+				miss = append(miss, vr.Interval{Lo: high, Hi: ^uint64(0)})
+			}
+			ctrl = append(ctrl, Nack(r.cid, tid, miss))
 		}
-		if !haveEnd {
-			// The T.ST chunk is lost: ask for everything from the
-			// highest element seen onward; the sender clips the
-			// request to the TPDU's real extent.
-			miss = append(miss, vr.Interval{Lo: high, Hi: ^uint64(0)})
-		}
-		ctrl = append(ctrl, Nack(r.cid, tid, miss))
+		r.recs[tid] = rec
 	}
 	if len(ctrl) > 0 {
 		r.tel.nacks.Add(int64(len(ctrl)))
@@ -659,7 +617,7 @@ func (r *Receiver) FinalCSN() uint64 { return r.finalCSN }
 
 // Verified reports whether TPDU tid verified OK (and its state is
 // still held: a retired TPDU reports false).
-func (r *Receiver) Verified(tid uint32) bool { return r.acked[tid] }
+func (r *Receiver) Verified(tid uint32) bool { return r.recs[tid].acked }
 
 // VerifiedCount returns how many TPDUs verified OK, including ones
 // since retired.
@@ -686,12 +644,4 @@ func (r *Receiver) NeedsPoll() bool { return r.pending > 0 }
 
 // PendingTPDUs returns the number of TPDUs currently holding receive
 // state without a final verdict — the quantity reaping bounds.
-func (r *Receiver) PendingTPDUs() int {
-	n := 0
-	for tid := range r.tids {
-		if !r.acked[tid] && r.ed.Verdict(tid) == errdet.VerdictPending {
-			n++
-		}
-	}
-	return n
-}
+func (r *Receiver) PendingTPDUs() int { return r.pending }

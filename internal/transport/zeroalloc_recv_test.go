@@ -86,7 +86,7 @@ func TestSteadyStateRecvZeroAlloc(t *testing.T) {
 	if s.Unacked() > 1 {
 		t.Fatalf("unacked backlog grew to %d; acks are not being consumed", s.Unacked())
 	}
-	if got := len(r.tids); got > steadyRecvRing+1 {
+	if got := len(r.recs); got > steadyRecvRing+1 {
 		t.Fatalf("retirement is not bounding receive state: %d TPDUs still tracked", got)
 	}
 	if r.StreamBase() == 0 {
@@ -133,7 +133,7 @@ func TestRetireVerifiedOffKeepsState(t *testing.T) {
 	if got, want := len(r.Stream()), rounds*len(payload); got != want {
 		t.Fatalf("stream length = %d, want %d (nothing trimmed)", got, want)
 	}
-	for tid := range r.tids {
+	for tid := range r.recs {
 		if !r.Verified(tid) {
 			t.Fatalf("TPDU %d not verified", tid)
 		}
