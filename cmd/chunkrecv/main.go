@@ -25,7 +25,7 @@ func main() {
 	verbose := flag.Bool("v", false, "log each TPDU verdict and frame")
 	wait := flag.Duration("wait", 5*time.Minute, "give up after this long")
 	telAddr := flag.String("telemetry", "", "serve live telemetry on this HTTP address (e.g. 127.0.0.1:6071); also prints a snapshot at exit")
-	recvBatch := flag.Int("batch", 0, "receive batch size: 0 = default (32, recvmmsg on Linux), 1 = legacy scalar reads")
+	recvBatch := flag.Int("batch", 0, "receive batch size: 0 = default (32, recvmmsg on Linux), 1 = one datagram per wakeup")
 	flag.Parse()
 
 	var reg *telemetry.Registry

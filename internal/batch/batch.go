@@ -6,9 +6,10 @@
 // scheduler round trip per ~1.4 KiB of payload. A Reader amortises
 // that fixed cost over a whole burst (recvmmsg(2) on Linux, a
 // deadline-bounded drain elsewhere), and a Writer does the same for
-// transmission (sendmmsg(2)); both expose the burst as indexed
-// datagram views over preallocated buffers, so a steady receive loop
-// performs zero allocations per wakeup.
+// transmission (sendmmsg(2), to one connected peer or to a destination
+// per datagram); both expose the burst as indexed datagram views over
+// preallocated buffers, so a steady receive loop performs zero
+// allocations per wakeup.
 package batch
 
 import (
@@ -115,13 +116,15 @@ func (r *Reader) Datagram(i int) []byte { return r.bufs[i][:r.lens[i]] }
 //lint:hot
 func (r *Reader) Addr(i int) netip.AddrPort { return r.addrs[i] }
 
-// A Writer transmits UDP datagrams in batches over a CONNECTED socket
-// (it uses Write semantics; destinations come from the connection).
-// On supported platforms a batch goes down in one sendmmsg call;
-// elsewhere it degrades to one write per datagram.
+// A Writer transmits UDP datagrams in batches: Write over a CONNECTED
+// socket (destinations come from the connection), WriteTo over an
+// unconnected one (a destination per datagram). On supported platforms
+// a batch goes down in one sendmmsg call; elsewhere it degrades to one
+// write per datagram. A Writer is not safe for concurrent use.
 type Writer struct {
-	conn *net.UDPConn
-	mm   *mmsgWriter
+	conn  *net.UDPConn
+	mm    *mmsgWriter
+	calls int64 // portable-path write calls
 }
 
 // NewWriter returns a Writer sending up to slots datagrams per
@@ -136,6 +139,16 @@ func NewWriter(conn *net.UDPConn, slots int) *Writer {
 // Batched reports whether the sendmmsg kernel path is active.
 func (w *Writer) Batched() bool { return w.mm != nil }
 
+// Syscalls returns how many send syscalls the Writer has issued: one
+// per sendmmsg call on the kernel path (more than one per batch only
+// when the socket buffer fills), one per datagram on the portable path.
+func (w *Writer) Syscalls() int64 {
+	if w.mm != nil {
+		return w.mm.calls
+	}
+	return w.calls
+}
+
 // Write transmits every datagram in order, blocking (subject to the
 // socket write deadline) until all are handed to the kernel.
 //
@@ -145,9 +158,32 @@ func (w *Writer) Write(dgrams [][]byte) error {
 		return w.mm.write(dgrams)
 	}
 	for _, d := range dgrams {
+		w.calls++
 		if _, err := w.conn.Write(d); err != nil {
 			return err
 		}
 	}
 	return nil
+}
+
+// WriteTo transmits dgrams[i] to to[i], in order, blocking (subject to
+// the socket write deadline) until all are handed to the kernel. IPv4
+// destinations work on a dual-stack socket too (they go out as
+// v4-mapped IPv6). A datagram the kernel refuses, or whose destination
+// the socket's address family cannot carry, is skipped: the others
+// still go out, and the first such error is returned.
+//
+//lint:hot
+func (w *Writer) WriteTo(dgrams [][]byte, to []netip.AddrPort) error {
+	if w.mm != nil {
+		return w.mm.writeTo(dgrams, to)
+	}
+	var first error
+	for i, d := range dgrams {
+		w.calls++
+		if _, err := w.conn.WriteToUDPAddrPort(d, to[i]); err != nil && first == nil {
+			first = err
+		}
+	}
+	return first
 }

@@ -18,10 +18,14 @@ func (m *mmsgReader) read(lens []int, addrs []netip.AddrPort) (int, error) {
 	panic("batch: mmsg path on unsupported platform")
 }
 
-type mmsgWriter struct{}
+type mmsgWriter struct{ calls int64 }
 
 func newMmsgWriter(conn *net.UDPConn, slots int) *mmsgWriter { return nil }
 
 func (m *mmsgWriter) write(dgrams [][]byte) error {
+	panic("batch: mmsg path on unsupported platform")
+}
+
+func (m *mmsgWriter) writeTo(dgrams [][]byte, to []netip.AddrPort) error {
 	panic("batch: mmsg path on unsupported platform")
 }

@@ -6,9 +6,12 @@ import (
 	"math/rand"
 	"net"
 	"net/netip"
+	"reflect"
+	"sort"
 	"testing"
 	"time"
 
+	"chunks/internal/packet"
 	"chunks/internal/telemetry"
 	"chunks/internal/transport"
 )
@@ -57,19 +60,42 @@ func batchFrom(c int) netip.AddrPort {
 	return netip.MustParseAddrPort(fmt.Sprintf("10.9.0.%d:4242", c+1))
 }
 
+// batchRun is everything TestBatchDeterminism compares across
+// ingestion widths.
+type batchRun struct {
+	streams map[uint32][]byte
+	tel     string   // telemetry snapshot minus the egress counters
+	control []string // control chunks sent, "peer type C.ID T.ID payload", sorted
+}
+
+// egressCounters are the server counters that legitimately depend on
+// the burst width: how control chunks share envelopes and syscalls.
+var egressCounters = []string{"ctrl_envelopes_out", "egress_syscalls", "egress_early_flush"}
+
 // runBatchInjection drives the full workload through a fresh server in
-// bursts of batchSize datagrams (batchSize 0 selects the legacy
-// one-datagram Inject API) and returns the per-connection streams plus
-// the whole telemetry snapshot, serialized for comparison. PollEvery is
-// huge so injection order alone drives every observable.
-func runBatchInjection(t *testing.T, dgrams [][]byte, froms []netip.AddrPort, nConns, batchSize int) (map[uint32][]byte, string) {
+// bursts of batchSize datagrams (batchSize 0 selects the one-datagram
+// Inject API) and returns the per-connection streams, the telemetry
+// snapshot serialized for comparison, and the multiset of control
+// chunks the server sent. PollEvery is huge so injection order alone
+// drives every observable.
+func runBatchInjection(t *testing.T, dgrams [][]byte, froms []netip.AddrPort, nConns, batchSize int) batchRun {
 	t.Helper()
 	reg := telemetry.New(0)
+	var control []string
 	srv, err := Serve("127.0.0.1:0", Config{
-		Shards:     4,
-		Telemetry:  reg,
-		PollEvery:  time.Hour,
-		ControlOut: func([]byte, *net.UDPAddr) {},
+		Shards:    4,
+		Telemetry: reg,
+		PollEvery: time.Hour,
+		ControlOut: func(d []byte, peer *net.UDPAddr) {
+			p, err := packet.Decode(d)
+			if err != nil {
+				t.Errorf("undecodable control envelope: %v", err)
+				return
+			}
+			for _, c := range p.Chunks {
+				control = append(control, fmt.Sprintf("%s %v %d %d %x", peer, c.Type, c.C.ID, c.T.ID, c.Payload))
+			}
+		},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -87,43 +113,61 @@ func runBatchInjection(t *testing.T, dgrams [][]byte, froms []netip.AddrPort, nC
 		}
 	}
 
-	streams := make(map[uint32][]byte, nConns)
+	run := batchRun{streams: make(map[uint32][]byte, nConns), control: control}
+	sort.Strings(run.control)
 	for c := 0; c < nConns; c++ {
 		cid := uint32(c + 1)
 		st := srv.StreamOf(cid, addrKey(batchFrom(c)))
 		if len(st) == 0 {
 			t.Fatalf("batchSize=%d: connection %d has no stream", batchSize, cid)
 		}
-		streams[cid] = st
+		run.streams[cid] = st
 	}
-	tel, err := json.Marshal(reg.Snapshot())
+	snap := reg.Snapshot()
+	for _, name := range egressCounters {
+		if _, ok := snap.Scopes["server"].Counters[name]; !ok {
+			t.Fatalf("server counter %s missing", name)
+		}
+		delete(snap.Scopes["server"].Counters, name)
+	}
+	tel, err := json.Marshal(snap)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return streams, string(tel)
+	run.tel = string(tel)
+	return run
 }
 
 // TestBatchDeterminism pins that the batch width of the ingestion path
 // is invisible to the protocol: the same seeded datagram schedule
-// produces byte-identical streams and an identical telemetry snapshot
-// whether datagrams arrive one at a time through the legacy Inject or
-// in bursts of 1, 8 or 64 through the shared-scratch batched path.
+// produces byte-identical streams, an identical telemetry snapshot
+// (all but the envelope and syscall counters) and the same multiset of
+// ACK/NACK chunks whether datagrams arrive one at a time through
+// Inject or in bursts of 1, 8 or 64 through InjectBatch. Only how the
+// control chunks share envelopes may differ.
 func TestBatchDeterminism(t *testing.T) {
 	const nConns = 4
 	dgrams, froms := genBatchWorkload(t, nConns, 40)
 
-	refStreams, refTel := runBatchInjection(t, dgrams, froms, nConns, 0)
+	ref := runBatchInjection(t, dgrams, froms, nConns, 0)
+	if len(ref.control) == 0 {
+		t.Fatal("no control chunks captured")
+	}
 	for _, batchSize := range []int{1, 8, 64} {
-		streams, tel := runBatchInjection(t, dgrams, froms, nConns, batchSize)
-		for cid, want := range refStreams {
-			if got := string(streams[cid]); got != string(want) {
-				t.Errorf("batchSize=%d: connection %d stream diverges from scalar reference (%d vs %d bytes)",
+		run := runBatchInjection(t, dgrams, froms, nConns, batchSize)
+		for cid, want := range ref.streams {
+			if got := string(run.streams[cid]); got != string(want) {
+				t.Errorf("batchSize=%d: connection %d stream diverges from the one-datagram reference (%d vs %d bytes)",
 					batchSize, cid, len(got), len(want))
 			}
 		}
-		if tel != refTel {
-			t.Errorf("batchSize=%d: telemetry snapshot diverges from scalar reference:\n got %s\nwant %s",
-				batchSize, tel, refTel)
+		if run.tel != ref.tel {
+			t.Errorf("batchSize=%d: telemetry snapshot diverges from the one-datagram reference:\n got %s\nwant %s",
+				batchSize, run.tel, ref.tel)
+		}
+		if !reflect.DeepEqual(run.control, ref.control) {
+			t.Errorf("batchSize=%d: control chunks diverge from the one-datagram reference:\n got %v\nwant %v",
+				batchSize, run.control, ref.control)
 		}
 	}
 }
@@ -132,7 +176,7 @@ func TestBatchDeterminism(t *testing.T) {
 // error handling: a socket that fails permanently (closed underneath
 // the server) must count recv_sock_err and END the reader goroutines
 // rather than spinning on the dead descriptor, and Shutdown must still
-// return promptly afterwards. Covers the scalar and batched loops.
+// return promptly afterwards. Covers 1-slot and 32-slot bursts.
 func TestReadLoopClosedSocket(t *testing.T) {
 	for _, recvBatch := range []int{1, 32} {
 		t.Run(fmt.Sprintf("recvBatch=%d", recvBatch), func(t *testing.T) {

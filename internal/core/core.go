@@ -142,16 +142,20 @@ type Config struct {
 	// RecvBatch is the Serve-side receive batch width: how many
 	// datagrams one reader wakeup may ingest (recvmmsg on Linux, a
 	// deadline-bounded drain elsewhere; see internal/batch). 0 means
-	// 32. 1 selects the legacy scalar path — one ReadFromUDP per
-	// datagram — kept as the honest baseline for experiment P10. Any
-	// value yields identical protocol behavior; batching changes only
-	// how many syscalls the kernel boundary costs.
+	// 32; 1 receives one datagram per wakeup, the honest baseline for
+	// experiment P10. The control (ACK/NACK) a burst produces is sent
+	// once per burst, packed into per-peer envelopes, with one
+	// sendmmsg. Any value yields the same ACK/NACK chunks; the width
+	// changes only how many syscalls the kernel boundary costs and how
+	// the control chunks share envelopes.
 	RecvBatch int
 	// ControlOut, when set on the Serve side, replaces the UDP reverse
-	// path: outgoing control datagrams (ACK/NACK) are handed to the
-	// callback instead of the socket. In-process harnesses (experiment
-	// C1) pair it with Server.Inject to drive the engine without
-	// socket I/O.
+	// path: each outgoing control envelope — the ACK/NACK chunks of
+	// one read burst, tick or Inject call bound for one peer — is
+	// handed to the callback instead of the socket, at flush time and
+	// outside the shard locks. The datagram bytes are valid only
+	// during the call. In-process harnesses (experiment C1) pair it
+	// with Server.Inject to drive the engine without socket I/O.
 	ControlOut func(datagram []byte, peer *net.UDPAddr)
 }
 

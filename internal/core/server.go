@@ -21,8 +21,13 @@ import (
 // serverConn is the receive state of one peer connection.
 type serverConn struct {
 	r    *transport.Receiver
-	peer *net.UDPAddr // control destination, bound at establishment
+	peer *net.UDPAddr   // control destination, bound at establishment
+	to   netip.AddrPort // peer, as the outbox keys envelopes
 	cid  uint32
+	// ob is the outbox the receiver's control goes to: set under the
+	// shard lock before every HandleChunk and Poll, so it is always
+	// the calling ingestion context's.
+	ob *outbox
 }
 
 // A Server is the receiving end of chunk connections over UDP. It
@@ -58,9 +63,13 @@ type Server struct {
 
 	shardSinks []telemetry.Sink // per-shard aggregate receiver sinks
 
+	tickOb *outbox    // the tick loop's outbox (Poll's NACKs)
+	ingest *sync.Pool // *ingress for Inject and InjectBatch
+
 	telEstablished *telemetry.Counter
 	telExpired     *telemetry.Counter
 	telDatagrams   *telemetry.Counter
+	telUndecodable *telemetry.Counter
 	telRejected    *telemetry.Counter
 	telRefused     *telemetry.Counter
 	telSetupErr    *telemetry.Counter
@@ -92,6 +101,7 @@ func Serve(addr string, cfg Config) (*Server, error) {
 		telEstablished: sink.Counter("conns_established"),
 		telExpired:     sink.Counter("conns_expired"),
 		telDatagrams:   sink.Counter("datagrams_in"),
+		telUndecodable: sink.Counter("datagrams_undecodable"),
 		telRejected:    sink.Counter("conns_rejected"),
 		telRefused:     sink.Counter("conns_refused"),
 		telSetupErr:    sink.Counter("conn_setup_errors"),
@@ -99,6 +109,15 @@ func Serve(addr string, cfg Config) (*Server, error) {
 		telLive:        sink.Gauge("conns_live"),
 		telRing:        sink.Ring,
 	}
+	eg := &egress{
+		sock: sock, mtu: cfg.MTU, controlOut: cfg.ControlOut,
+		envelopes: sink.Counter("ctrl_envelopes_out"),
+		chunks:    sink.Counter("ctrl_chunks_out"),
+		syscalls:  sink.Counter("egress_syscalls"),
+		early:     sink.Counter("egress_early_flush"),
+	}
+	srv.tickOb = newOutbox(eg)
+	srv.ingest = &sync.Pool{New: func() any { return &ingress{ob: newOutbox(eg)} }}
 	if cfg.IdleTimeout > 0 {
 		// Idle expiry in whole ticks, rounded up: the effective lease
 		// stays within one PollEvery of the configured timeout, exactly
@@ -110,6 +129,7 @@ func Serve(addr string, cfg Config) (*Server, error) {
 		MaxConns:  cfg.MaxConns,
 		IdleTicks: srv.idleTicks,
 		Poll: func(_ shard.Key, c *serverConn) bool {
+			c.ob = srv.tickOb
 			c.r.Poll()
 			return c.r.NeedsPoll()
 		},
@@ -136,7 +156,7 @@ func Serve(addr string, cfg Config) (*Server, error) {
 	}
 	srv.wg.Add(readers + 1)
 	for i := 0; i < readers; i++ {
-		go srv.readLoop()
+		go srv.readLoop(&ingress{cache: make(map[netip.AddrPort]string, 64), ob: newOutbox(eg)})
 	}
 	go srv.tickLoop()
 	return srv, nil
@@ -158,7 +178,8 @@ func (s *Server) receiverConfig() transport.ReceiverConfig {
 // returns nil and the reason; the caller drops the chunks and fires
 // any callback outside the lock.
 func (s *Server) establish(sh *shard.Shard[*serverConn], key shard.Key, from netip.AddrPort) (*serverConn, error) {
-	peer := net.UDPAddrFromAddrPort(netip.AddrPortFrom(from.Addr().Unmap(), from.Port()))
+	to := netip.AddrPortFrom(from.Addr().Unmap(), from.Port())
+	peer := net.UDPAddrFromAddrPort(to)
 	c, err := sh.Establish(key, func() (*serverConn, error) {
 		cfg := s.receiverConfig()
 		if s.cfg.PerConnTelemetry {
@@ -168,17 +189,13 @@ func (s *Server) establish(sh *shard.Shard[*serverConn], key shard.Key, from net
 		}
 		// The out callback captures the ESTABLISHMENT address: control
 		// always goes there, no matter who sent the datagram that
-		// triggered it. The socket path recycles the datagram buffer
-		// into the receiver's packer pool once the kernel has copied it.
-		sc := &serverConn{peer: peer, cid: key.CID}
+		// triggered it. It only copies the control chunks into the
+		// calling context's outbox — no syscall under the shard lock —
+		// and recycles the datagram into the receiver's packer pool.
+		sc := &serverConn{peer: peer, to: to, cid: key.CID}
 		out := func(d []byte) {
-			_, _ = s.sock.WriteToUDP(d, peer)
+			sc.ob.add(d[packet.HeaderSize:], sc.to, sc.peer)
 			sc.r.Recycle(d)
-		}
-		if s.cfg.ControlOut != nil {
-			// User callbacks may retain the datagram; no recycling.
-			co := s.cfg.ControlOut
-			out = func(d []byte) { co(d, peer) }
 		}
 		r, err := transport.NewReceiver(cfg, out)
 		if err != nil {
@@ -210,20 +227,28 @@ const addrCacheMax = 4096
 
 // addrKey formats a datagram source as the connection-table key —
 // identical to what (*net.UDPAddr).String() reports for the same peer,
-// so the scalar and batched ingestion paths key connections alike.
+// so every ingestion path keys connections alike.
 func addrKey(ap netip.AddrPort) string {
 	return netip.AddrPortFrom(ap.Addr().Unmap(), ap.Port()).String()
 }
 
-func (s *Server) readLoop() {
+// An ingress is one ingestion context: the decode scratch, the
+// source-key cache (nil: format the key per datagram) and the outbox
+// its datagrams' control goes to. Each read loop owns one; Inject and
+// InjectBatch borrow one from the server's pool.
+type ingress struct {
+	dec   packet.Packet
+	cache map[netip.AddrPort]string
+	ob    *outbox
+}
+
+// readLoop receives bursts of up to RecvBatch datagrams and flushes
+// their control once per burst, after every shard lock is released.
+// RecvBatch=1 is a 1-slot burst: one receive and one control send per
+// datagram, the P10 baseline.
+func (s *Server) readLoop(in *ingress) {
 	defer s.wg.Done()
-	if s.cfg.RecvBatch <= 1 {
-		s.scalarReadLoop()
-		return
-	}
 	br := batch.NewReader(s.sock, s.cfg.RecvBatch, 65536)
-	var dec packet.Packet
-	cache := make(map[netip.AddrPort]string, 64)
 	var backoff time.Duration
 	for {
 		if !br.Batched() {
@@ -233,8 +258,8 @@ func (s *Server) readLoop() {
 		}
 		// On the kernel path no deadline is armed at all: Shutdown
 		// closes the socket, which wakes the blocked read with
-		// net.ErrClosed. That keeps the steady wakeup free of the
-		// per-wakeup timer reset the legacy loop pays per datagram.
+		// net.ErrClosed. That keeps the steady wakeup free of a
+		// per-wakeup timer reset.
 		n, err := br.Read()
 		if err != nil {
 			if !s.recvErr(err, &backoff) {
@@ -244,28 +269,9 @@ func (s *Server) readLoop() {
 		}
 		backoff = 0
 		for i := 0; i < n; i++ {
-			s.injectScratch(br.Datagram(i), br.Addr(i), &dec, cache)
+			s.ingestOne(br.Datagram(i), br.Addr(i), in)
 		}
-	}
-}
-
-// scalarReadLoop is the legacy one-recvfrom-per-datagram path, kept
-// under Config.RecvBatch=1 as the baseline experiment P10 measures
-// batching against.
-func (s *Server) scalarReadLoop() {
-	buf := make([]byte, 65536)
-	var backoff time.Duration
-	for {
-		_ = s.sock.SetReadDeadline(time.Now().Add(50 * time.Millisecond)) //lint:allow detrand socket read deadline: I/O pacing, not protocol state
-		n, from, err := s.sock.ReadFromUDP(buf)
-		if err != nil {
-			if !s.recvErr(err, &backoff) {
-				return
-			}
-			continue
-		}
-		backoff = 0
-		s.Inject(buf[:n], from)
+		in.ob.flush()
 	}
 }
 
@@ -315,47 +321,54 @@ func (s *Server) recvErr(err error, backoff *time.Duration) bool {
 // from the given source — the in-process ("pipe") ingestion path.
 // Safe for concurrent callers: each chunk is routed to its (C.ID,
 // source) connection's shard, and only that shard's lock is taken.
-// Experiment C1 and tests drive the sharded engine through Inject
-// without socket I/O; Config.ControlOut captures the reverse path.
+// The datagram's control is sent before Inject returns. Experiment C1
+// and tests drive the sharded engine through Inject without socket
+// I/O; Config.ControlOut captures the reverse path.
 func (s *Server) Inject(datagram []byte, from *net.UDPAddr) {
-	p, err := packet.Decode(datagram)
-	if err != nil {
-		return // not a chunk packet; ignore
-	}
-	s.telDatagrams.Inc()
-	s.route(&p, from.String(), from.AddrPort())
+	in := s.ingest.Get().(*ingress)
+	s.ingestOne(datagram, from.AddrPort(), in)
+	in.ob.flush()
+	s.ingest.Put(in)
 }
 
-// InjectBatch ingests a burst of datagrams sharing one decode scratch
-// and source-address cache — the in-process twin of the batched read
+// InjectBatch ingests a burst of datagrams sharing one decode scratch,
+// source-address cache and outbox — the in-process twin of the read
 // loop, for tests and experiments that drive the engine without socket
-// I/O. froms[i] is the source of dgrams[i].
+// I/O. froms[i] is the source of dgrams[i]. The burst's control is
+// sent once, at the end.
 func (s *Server) InjectBatch(dgrams [][]byte, froms []netip.AddrPort) {
-	var dec packet.Packet
-	cache := make(map[netip.AddrPort]string, 8)
+	in := s.ingest.Get().(*ingress)
+	in.cache = make(map[netip.AddrPort]string, 8)
 	for i := range dgrams {
-		s.injectScratch(dgrams[i], froms[i], &dec, cache)
+		s.ingestOne(dgrams[i], froms[i], in)
 	}
+	in.ob.flush()
+	in.cache = nil
+	s.ingest.Put(in)
 }
 
-// injectScratch is Inject with caller-owned decode scratch and
-// source-address cache: the steady batched receive path re-uses both
-// across every datagram of every burst, so ingestion of a known peer's
-// datagram allocates nothing before the shard lock.
-func (s *Server) injectScratch(datagram []byte, from netip.AddrPort, dec *packet.Packet, cache map[netip.AddrPort]string) {
-	if packet.DecodeInto(datagram, dec) != nil {
-		return // not a chunk packet; ignore
+// ingestOne decodes one datagram into in's scratch and routes its
+// chunks, their control going to in's outbox: the steady receive path
+// re-uses the scratch and the cache across every datagram of every
+// burst, so ingestion of a known peer's datagram allocates nothing
+// before the shard lock.
+func (s *Server) ingestOne(datagram []byte, from netip.AddrPort, in *ingress) {
+	if packet.DecodeInto(datagram, &in.dec) != nil {
+		s.telUndecodable.Inc()
+		return
 	}
 	s.telDatagrams.Inc()
-	addr, ok := cache[from]
+	addr, ok := in.cache[from]
 	if !ok {
 		addr = addrKey(from)
-		if len(cache) >= addrCacheMax {
-			clear(cache)
+		if in.cache != nil {
+			if len(in.cache) >= addrCacheMax {
+				clear(in.cache)
+			}
+			in.cache[from] = addr
 		}
-		cache[from] = addr
 	}
-	s.route(dec, addr, from)
+	s.route(&in.dec, addr, from, in.ob)
 }
 
 // connEvent defers a connection-lifecycle callback until the shard
@@ -367,8 +380,9 @@ type connEvent struct {
 }
 
 // route walks one decoded packet's chunks into their (C.ID, source)
-// connections. addr is the precomputed connection-table key for from.
-func (s *Server) route(p *packet.Packet, addr string, from netip.AddrPort) {
+// connections. addr is the precomputed connection-table key for from;
+// the connections' control goes to ob.
+func (s *Server) route(p *packet.Packet, addr string, from netip.AddrPort, ob *outbox) {
 	var events []connEvent
 
 	// Route each chunk to the (C.ID, source) connection. Packets are
@@ -402,6 +416,7 @@ func (s *Server) route(p *packet.Packet, addr string, from netip.AddrPort) {
 			}
 		}
 		sh.Touch(key)
+		c.ob = ob
 		for ; i < j; i++ {
 			if err := c.r.HandleChunk(&p.Chunks[i]); errors.Is(err, transport.ErrConnectionRejected) {
 				// The vr.RejectConnection overlap policy tripped: tear
@@ -442,6 +457,7 @@ func (s *Server) tickLoop() {
 			return
 		case <-tick.C:
 			expired := s.eng.Tick()
+			s.tickOb.flush()
 			if len(expired) == 0 {
 				continue
 			}

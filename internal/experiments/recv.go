@@ -21,8 +21,9 @@ import (
 // the kernel boundary itself — one recvfrom, one poller arm per
 // datagram. P10 measures what amortising that boundary buys: the same
 // seeded workload is blasted at a server in scalar mode
-// (Config.RecvBatch=1, the legacy one-recvfrom-per-datagram loop) and
-// batched mode (RecvBatch=32, recvmmsg on Linux), across reader counts
+// (Config.RecvBatch=1: the read loop with a 1-slot batch.Reader, one
+// receive and one control send per datagram) and batched mode
+// (RecvBatch=32, recvmmsg on Linux), across reader counts
 // and two datagram sizes. The size axis is the paper's argument made
 // measurable: MTU-sized datagrams amortise the fixed per-datagram cost
 // over ~1.4 KiB of copying, small datagrams are almost pure
@@ -356,7 +357,7 @@ func P10Run(seed int64, quick bool) (*Table, *RecvResult, error) {
 		t.row(fmt.Sprintf("%d", r.Readers), fmt.Sprintf("%d", r.DgramBytes), r.Path, kcell,
 			fmt.Sprintf("%.0f", r.DgramsPerSec), fmt.Sprintf("%.3f", r.GBPerSec), speedup)
 	}
-	t.note("scalar = Config.RecvBatch=1, the legacy one-recvfrom-per-datagram read loop; batched = RecvBatch=32 through internal/batch (one recvmmsg per wakeup on Linux, deadline drain elsewhere)")
+	t.note("scalar = Config.RecvBatch=1, the read loop with a 1-slot batch.Reader: one receive and one control sendmmsg per datagram; batched = RecvBatch=32 through internal/batch (one recvmmsg per wakeup on Linux, deadline drain elsewhere, and one sendmmsg of per-peer control envelopes per burst)")
 	t.note("rates counted at the server (datagrams_in); each cell interleaves scalar/batched passes of buffer-sized bursts and reports the median per-round drain rate, so blast-path losses, scheduler-noise outliers, and slow host drift don't distort the comparison; ACKs ride the real reverse path")
 	t.note("multi-datagram TPDUs amortise per-TPDU work, so cells measure per-datagram bookkeeping — small datagrams are almost pure bookkeeping, which is where the paper predicts (and batching delivers) the largest win")
 	if quick {

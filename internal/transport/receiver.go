@@ -78,7 +78,8 @@ type Receiver struct {
 	out func(datagram []byte)
 	ed  *errdet.Receiver
 
-	cid      uint32
+	cid      uint32 // labels control: the C.ID of the first chunk fed
+	labelled bool   // cid is set
 	elemSize uint16
 	opened   bool
 	closed   bool
@@ -252,6 +253,14 @@ func (r *Receiver) HandleChunk(c *chunk.Chunk) error {
 	if r.rejected {
 		return ErrConnectionRejected
 	}
+	if !r.labelled {
+		// Control is labelled with the connection's C.ID as the chunks
+		// carry it (a demultiplexing caller feeds one C.ID only), not
+		// taken from the open signal: that may be lost, reordered or
+		// forged, and shared control envelopes are demultiplexed by
+		// this label.
+		r.cid, r.labelled = c.C.ID, true
+	}
 	switch c.Type {
 	case chunk.TypeSignal:
 		sig, err := ParseSignal(c)
@@ -259,7 +268,6 @@ func (r *Receiver) HandleChunk(c *chunk.Chunk) error {
 			return err
 		}
 		if sig.Open {
-			r.cid = sig.CID
 			r.elemSize = sig.ElemSize
 			r.opened = true
 		} else {

@@ -202,6 +202,7 @@ type senderTel struct {
 	tpdus      *telemetry.Counter   // TPDUs cut
 	retransmit *telemetry.Counter   // retransmissions (timer + NACK)
 	acks       *telemetry.Counter   // ACKs processed
+	foreign    *telemetry.Counter   // control chunks of another C.ID, ignored
 	bytes      *telemetry.Counter   // payload bytes cut into TPDUs
 	rtt        *telemetry.Histogram // RTT samples, microseconds
 	rto        *telemetry.Histogram // expired RTOs, microseconds
@@ -216,6 +217,7 @@ func newSenderTel(t telemetry.Sink) senderTel {
 		tpdus:      t.Counter("tpdus_sent"),
 		retransmit: t.Counter("retransmits"),
 		acks:       t.Counter("acks_seen"),
+		foreign:    t.Counter("control_foreign"),
 		bytes:      t.Counter("bytes_written"),
 		rtt:        t.Histogram("rtt_us"),
 		rto:        t.Histogram("rto_expired_us"),
@@ -434,6 +436,14 @@ func (s *Sender) HandleControl(c *chunk.Chunk) error {
 // used by the adaptive path to derive RTT samples from ACK timing.
 func (s *Sender) HandleControlAt(c *chunk.Chunk, now time.Duration) error {
 	s.observe(now)
+	if (c.Type == chunk.TypeAck || c.Type == chunk.TypeNack) && c.C.ID != s.cfg.CID {
+		// Another connection's control: envelopes shared by several
+		// connections to one peer carry it, and a spoofed datagram can
+		// make the receiver send it here. Acting on it would drop the
+		// retransmission coverage of this connection's TPDUs.
+		s.tel.foreign.Inc()
+		return nil
+	}
 	switch c.Type {
 	case chunk.TypeAck:
 		tid, err := ParseAck(c)
