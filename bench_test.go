@@ -8,6 +8,7 @@ package chunks
 import (
 	"fmt"
 	"net"
+	"net/netip"
 	"sync"
 	"testing"
 	"time"
@@ -137,12 +138,12 @@ func BenchmarkNetsimDisordering(b *testing.B) {
 // engine vs the same engine pinned to one shard. Each iteration
 // establishes 2048 connections on a fresh server (untimed), then times
 // 8 concurrent injectors pushing 8192 further one-TPDU datagrams over
-// a 512-connection hot subset through Server.Inject — the in-process
+// a 512-connection hot subset through Server.InjectBatch — the in-process
 // path of experiment C1 (chunkbench -exp C1 records the full sweep).
 func BenchmarkC1ShardScaling(b *testing.B) {
 	type inj struct {
 		d    []byte
-		peer *net.UDPAddr
+		peer netip.AddrPort
 	}
 	const conns, hot, steadyN = 2048, 512, 8192
 	var estab, steady []inj
@@ -150,7 +151,7 @@ func BenchmarkC1ShardScaling(b *testing.B) {
 		var out [][]byte
 		s := transport.NewSender(transport.SenderConfig{CID: uint32(i + 1), TPDUElems: 16},
 			func(d []byte) { out = append(out, append([]byte(nil), d...)) })
-		peer := &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1), Port: 40000 + i}
+		peer := netip.AddrPortFrom(netip.AddrFrom4([4]byte{127, 0, 0, 1}), uint16(40000+i))
 		if err := s.Write(make([]byte, 64)); err != nil {
 			b.Fatal(err)
 		}
@@ -188,7 +189,7 @@ func BenchmarkC1ShardScaling(b *testing.B) {
 					b.Fatal(err)
 				}
 				for _, e := range estab {
-					srv.Inject(e.d, e.peer)
+					srv.InjectBatch([][]byte{e.d}, []netip.AddrPort{e.peer})
 				}
 				if got := srv.ConnCount(); got != conns {
 					b.Fatalf("established %d conns, want %d", got, conns)
@@ -201,7 +202,7 @@ func BenchmarkC1ShardScaling(b *testing.B) {
 					go func(g int) {
 						defer wg.Done()
 						for j := g; j < len(steady); j += workers {
-							srv.Inject(steady[j].d, steady[j].peer)
+							srv.InjectBatch([][]byte{steady[j].d}, []netip.AddrPort{steady[j].peer})
 						}
 					}(g)
 				}

@@ -6,9 +6,10 @@
 // With check names as arguments only those checks run (plus directive
 // hygiene); by default the whole suite runs. -C selects the module
 // root (default: the module containing the working directory). -stats
-// prints per-check finding and suppression counts and enforces the
-// pinned //lint:allow budget (lint.AllowBudget): a drifted count is a
-// finding, so suppressions cannot accrete without a reviewed bump.
+// prints per-check finding and suppression counts and the module's
+// non-test Go line count, and enforces the pinned //lint:allow budget
+// (lint.AllowBudget): a drifted count is a finding, so suppressions
+// cannot accrete without a reviewed bump.
 package main
 
 import (
@@ -24,7 +25,7 @@ import (
 
 func main() {
 	jsonOut := flag.Bool("json", false, "emit findings as a JSON array")
-	stats := flag.Bool("stats", false, "print per-check finding/suppression counts and enforce the //lint:allow budget")
+	stats := flag.Bool("stats", false, "print per-check finding/suppression counts and non-test Go lines, and enforce the //lint:allow budget")
 	chdir := flag.String("C", "", "module root to analyze (default: enclosing module)")
 	flag.Parse()
 
@@ -77,6 +78,11 @@ func main() {
 	budgetOK := true
 	if *stats {
 		printStats(checks, st)
+		lines, err := lint.GoLines(root)
+		if err != nil {
+			fatal(err)
+		}
+		fmt.Printf("non-test Go lines: %d\n", lines)
 		// The budget pins the module-wide total, so enforce it only
 		// when the whole suite ran — a subset run still reports the
 		// table but cannot judge other checks' suppressions.

@@ -73,10 +73,10 @@ type batchRun struct {
 var egressCounters = []string{"ctrl_envelopes_out", "egress_syscalls", "egress_early_flush"}
 
 // runBatchInjection drives the full workload through a fresh server in
-// bursts of batchSize datagrams (batchSize 0 selects the one-datagram
-// Inject API) and returns the per-connection streams, the telemetry
-// snapshot serialized for comparison, and the multiset of control
-// chunks the server sent. PollEvery is huge so injection order alone
+// bursts of batchSize datagrams (batchSize 0 is the one-datagram
+// reference: one InjectBatch call per datagram) and returns the
+// per-connection streams, the telemetry snapshot serialized for
+// comparison, and the multiset of control chunks the server sent. PollEvery is huge so injection order alone
 // drives every observable.
 func runBatchInjection(t *testing.T, dgrams [][]byte, froms []netip.AddrPort, nConns, batchSize int) batchRun {
 	t.Helper()
@@ -102,15 +102,10 @@ func runBatchInjection(t *testing.T, dgrams [][]byte, froms []netip.AddrPort, nC
 	}
 	defer srv.Shutdown()
 
-	if batchSize == 0 {
-		for i := range dgrams {
-			srv.Inject(dgrams[i], net.UDPAddrFromAddrPort(froms[i]))
-		}
-	} else {
-		for i := 0; i < len(dgrams); i += batchSize {
-			end := min(i+batchSize, len(dgrams))
-			srv.InjectBatch(dgrams[i:end], froms[i:end])
-		}
+	width := max(batchSize, 1)
+	for i := 0; i < len(dgrams); i += width {
+		end := min(i+width, len(dgrams))
+		srv.InjectBatch(dgrams[i:end], froms[i:end])
 	}
 
 	run := batchRun{streams: make(map[uint32][]byte, nConns), control: control}
@@ -142,9 +137,9 @@ func runBatchInjection(t *testing.T, dgrams [][]byte, froms []netip.AddrPort, nC
 // is invisible to the protocol: the same seeded datagram schedule
 // produces byte-identical streams, an identical telemetry snapshot
 // (all but the envelope and syscall counters) and the same multiset of
-// ACK/NACK chunks whether datagrams arrive one at a time through
-// Inject or in bursts of 1, 8 or 64 through InjectBatch. Only how the
-// control chunks share envelopes may differ.
+// ACK/NACK chunks whether datagrams arrive one at a time or in bursts
+// of 1, 8 or 64, on fresh servers. Only how the control chunks share
+// envelopes may differ.
 func TestBatchDeterminism(t *testing.T) {
 	const nConns = 4
 	dgrams, froms := genBatchWorkload(t, nConns, 40)

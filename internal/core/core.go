@@ -32,7 +32,6 @@ import (
 	"time"
 
 	"chunks/internal/batch"
-	"chunks/internal/chunk"
 	"chunks/internal/errdet"
 	"chunks/internal/packet"
 	"chunks/internal/telemetry"
@@ -69,8 +68,7 @@ type Config struct {
 	// WaitDrained. 0 means unlimited (retry forever).
 	MaxRetries int
 	// InitialRTO is the retransmission timeout before the first RTT
-	// sample; 0 means 3*PollEvery (matching the legacy
-	// RetransmitAfter=3 poll rounds).
+	// sample; 0 means 3*PollEvery (three timer ticks).
 	InitialRTO time.Duration
 	// MinRTO/MaxRTO clamp the adaptive timeout; 0 means PollEvery and
 	// 2s respectively.
@@ -151,11 +149,11 @@ type Config struct {
 	RecvBatch int
 	// ControlOut, when set on the Serve side, replaces the UDP reverse
 	// path: each outgoing control envelope — the ACK/NACK chunks of
-	// one read burst, tick or Inject call bound for one peer — is
+	// one read burst, tick or InjectBatch call bound for one peer — is
 	// handed to the callback instead of the socket, at flush time and
 	// outside the shard locks. The datagram bytes are valid only
 	// during the call. In-process harnesses (experiment C1) pair it
-	// with Server.Inject to drive the engine without socket I/O.
+	// with Server.InjectBatch to drive the engine without socket I/O.
 	ControlOut func(datagram []byte, peer *net.UDPAddr)
 }
 
@@ -261,6 +259,7 @@ func Dial(addr string, cfg Config) (*Conn, error) {
 	go func() {
 		defer c.wg.Done()
 		buf := make([]byte, 65536)
+		var dec packet.Packet // decode scratch: chunks alias buf
 		for {
 			_ = sock.SetReadDeadline(time.Now().Add(50 * time.Millisecond)) //lint:allow detrand socket read deadline: I/O pacing, not protocol state
 			n, err := sock.Read(buf)
@@ -272,7 +271,7 @@ func Dial(addr string, cfg Config) (*Conn, error) {
 					continue
 				}
 			}
-			c.handleControl(buf[:n])
+			c.handleControl(buf[:n], &dec)
 		}
 	}()
 	// Retransmission timer: adaptive RTO with exponential backoff,
@@ -330,17 +329,19 @@ func (c *Conn) firePeerDead(err error) {
 	})
 }
 
-func (c *Conn) handleControl(datagram []byte) {
-	chs, err := decodePacketChunks(datagram)
-	if err != nil {
+// handleControl applies one control datagram's ACKs and NACKs,
+// decoding it in place into dec: the sender keeps nothing that
+// aliases the datagram (ParseAck and ParseNack copy what they need).
+func (c *Conn) handleControl(datagram []byte, dec *packet.Packet) {
+	if packet.DecodeInto(datagram, dec) != nil {
 		return
 	}
 	now := time.Since(c.epoch) //lint:allow detrand real-socket RTT measurement; tests drive HandleControlAt with virtual time
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	defer c.flushPending() // NACKs may have queued retransmissions
-	for i := range chs {
-		_ = c.s.HandleControlAt(&chs[i], now)
+	for i := range dec.Chunks {
+		_ = c.s.HandleControlAt(&dec.Chunks[i], now)
 	}
 	c.telUnacked.Set(int64(c.s.Unacked()))
 	// ACKs may have shrunk the in-flight window: wake blocked writers.
@@ -488,17 +489,4 @@ func (c *Conn) Shutdown() {
 	c.mu.Unlock()
 	c.wg.Wait()
 	_ = c.sock.Close()
-}
-
-// decodePacketChunks unpacks one datagram into cloned chunks.
-func decodePacketChunks(d []byte) ([]chunk.Chunk, error) {
-	p, err := packet.Decode(d)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]chunk.Chunk, len(p.Chunks))
-	for i := range p.Chunks {
-		out[i] = p.Chunks[i].Clone()
-	}
-	return out, nil
 }

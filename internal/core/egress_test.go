@@ -93,7 +93,7 @@ func TestSharedEnvelopeDemux(t *testing.T) {
 	}
 	for _, s := range []*transport.Sender{s1, s2} {
 		for i := range chs {
-			if err := s.HandleControl(&chs[i]); err != nil {
+			if err := s.HandleControlAt(&chs[i], 0); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -194,7 +194,7 @@ func TestOutboxOverflowFlushesEarly(t *testing.T) {
 		_, ds := oneTPDU(t, uint32(i+1), reg)
 		for _, d := range ds {
 			dgrams = append(dgrams, d)
-			froms = append(froms, fakePeer(i).AddrPort())
+			froms = append(froms, fakePeer(i))
 		}
 	}
 	srv.InjectBatch(dgrams, froms)
@@ -272,5 +272,45 @@ func TestServeDualStackAcksIPv4Peer(t *testing.T) {
 	}
 	if !bytes.Equal(srv.Stream(), data) {
 		t.Fatal("received stream differs from sent data")
+	}
+}
+
+// TestConnAckEnvelopeZeroAlloc: the client's control path decodes an
+// ACK-only envelope in place and applies it without allocating.
+func TestConnAckEnvelopeZeroAlloc(t *testing.T) {
+	_, to := peerSocket(t)
+	const cid, elems, tpdus = 5, 16, 101
+	c, err := Dial(to.String(), Config{CID: cid, TPDUElems: elems, PollEvery: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Shutdown()
+	if err := c.Write(testData(tpdus*elems*4, 1)); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if got := c.Unacked(); got != tpdus {
+		t.Fatalf("Unacked = %d, want %d", got, tpdus)
+	}
+	envs := make([][]byte, tpdus)
+	for i := range envs {
+		p := packet.Packet{Chunks: []chunk.Chunk{transport.Ack(cid, uint32(i*elems))}}
+		if envs[i], err = p.AppendTo(nil, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var dec packet.Packet
+	next := 0
+	allocs := testing.AllocsPerRun(tpdus-1, func() {
+		c.handleControl(envs[next], &dec)
+		next++
+	})
+	if got := c.Unacked(); got != 0 {
+		t.Fatalf("Unacked = %d after every ACK, want 0", got)
+	}
+	if allocs != 0 {
+		t.Errorf("handling an ACK-only envelope allocates %.1f objects, want 0", allocs)
 	}
 }

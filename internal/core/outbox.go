@@ -22,8 +22,8 @@ const outboxSlots = 32
 // applied to the reverse path: ACKs of any number of connections to
 // one peer share a datagram (Appendix A's free piggybacking). The
 // receivers' out callbacks fill it under the shard locks; its owner
-// flushes it once per read burst, tick or Inject, after the locks are
-// released, with one sendmmsg. Storage is fixed at construction: when
+// flushes it once per read burst, tick or InjectBatch, after the locks
+// are released, with one sendmmsg. Storage is fixed at construction: when
 // it fills, add flushes in place (counted as egress_early_flush)
 // rather than growing. An outbox belongs to one goroutine at a time.
 type outbox struct {

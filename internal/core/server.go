@@ -64,7 +64,7 @@ type Server struct {
 	shardSinks []telemetry.Sink // per-shard aggregate receiver sinks
 
 	tickOb *outbox    // the tick loop's outbox (Poll's NACKs)
-	ingest *sync.Pool // *ingress for Inject and InjectBatch
+	ingest *sync.Pool // *ingress for InjectBatch
 
 	telEstablished *telemetry.Counter
 	telExpired     *telemetry.Counter
@@ -117,7 +117,7 @@ func Serve(addr string, cfg Config) (*Server, error) {
 		early:     sink.Counter("egress_early_flush"),
 	}
 	srv.tickOb = newOutbox(eg)
-	srv.ingest = &sync.Pool{New: func() any { return &ingress{ob: newOutbox(eg)} }}
+	srv.ingest = &sync.Pool{New: func() any { return newIngress(eg) }}
 	if cfg.IdleTimeout > 0 {
 		// Idle expiry in whole ticks, rounded up: the effective lease
 		// stays within one PollEvery of the configured timeout, exactly
@@ -156,7 +156,7 @@ func Serve(addr string, cfg Config) (*Server, error) {
 	}
 	srv.wg.Add(readers + 1)
 	for i := 0; i < readers; i++ {
-		go srv.readLoop(&ingress{cache: make(map[netip.AddrPort]string, 64), ob: newOutbox(eg)})
+		go srv.readLoop(newIngress(eg))
 	}
 	go srv.tickLoop()
 	return srv, nil
@@ -221,7 +221,7 @@ func (s *Server) establish(sh *shard.Shard[*serverConn], key shard.Key, from net
 	return c, nil
 }
 
-// addrCacheMax bounds each read loop's source-address string cache;
+// addrCacheMax bounds each ingress's source-address string cache;
 // past it the cache resets rather than growing with spoofed sources.
 const addrCacheMax = 4096
 
@@ -233,13 +233,17 @@ func addrKey(ap netip.AddrPort) string {
 }
 
 // An ingress is one ingestion context: the decode scratch, the
-// source-key cache (nil: format the key per datagram) and the outbox
-// its datagrams' control goes to. Each read loop owns one; Inject and
-// InjectBatch borrow one from the server's pool.
+// bounded source-key cache and the outbox its datagrams' control goes
+// to. Each read loop owns one; InjectBatch borrows one from the
+// server's pool.
 type ingress struct {
 	dec   packet.Packet
 	cache map[netip.AddrPort]string
 	ob    *outbox
+}
+
+func newIngress(eg *egress) *ingress {
+	return &ingress{cache: make(map[netip.AddrPort]string, 64), ob: newOutbox(eg)}
 }
 
 // readLoop receives bursts of up to RecvBatch datagrams and flushes
@@ -317,33 +321,19 @@ func (s *Server) recvErr(err error, backoff *time.Duration) bool {
 	}
 }
 
-// Inject ingests one datagram as if it had arrived on the UDP socket
-// from the given source — the in-process ("pipe") ingestion path.
-// Safe for concurrent callers: each chunk is routed to its (C.ID,
-// source) connection's shard, and only that shard's lock is taken.
-// The datagram's control is sent before Inject returns. Experiment C1
-// and tests drive the sharded engine through Inject without socket
-// I/O; Config.ControlOut captures the reverse path.
-func (s *Server) Inject(datagram []byte, from *net.UDPAddr) {
-	in := s.ingest.Get().(*ingress)
-	s.ingestOne(datagram, from.AddrPort(), in)
-	in.ob.flush()
-	s.ingest.Put(in)
-}
-
-// InjectBatch ingests a burst of datagrams sharing one decode scratch,
-// source-address cache and outbox — the in-process twin of the read
-// loop, for tests and experiments that drive the engine without socket
-// I/O. froms[i] is the source of dgrams[i]. The burst's control is
-// sent once, at the end.
+// InjectBatch ingests a burst of datagrams as if they had arrived on
+// the UDP socket — the in-process twin of the read loop, for tests and
+// experiments that drive the engine without socket I/O. froms[i] is
+// the source of dgrams[i]. Safe for concurrent callers: each chunk is
+// routed to its (C.ID, source) connection's shard, and only that
+// shard's lock is taken. The burst's control is sent once, before
+// InjectBatch returns; Config.ControlOut captures it.
 func (s *Server) InjectBatch(dgrams [][]byte, froms []netip.AddrPort) {
 	in := s.ingest.Get().(*ingress)
-	in.cache = make(map[netip.AddrPort]string, 8)
 	for i := range dgrams {
 		s.ingestOne(dgrams[i], froms[i], in)
 	}
 	in.ob.flush()
-	in.cache = nil
 	s.ingest.Put(in)
 }
 
@@ -361,12 +351,10 @@ func (s *Server) ingestOne(datagram []byte, from netip.AddrPort, in *ingress) {
 	addr, ok := in.cache[from]
 	if !ok {
 		addr = addrKey(from)
-		if in.cache != nil {
-			if len(in.cache) >= addrCacheMax {
-				clear(in.cache)
-			}
-			in.cache[from] = addr
+		if len(in.cache) >= addrCacheMax {
+			clear(in.cache)
 		}
+		in.cache[from] = addr
 	}
 	s.route(&in.dec, addr, from, in.ob)
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"net"
+	"net/netip"
 	"reflect"
 	"sort"
 	"sync"
@@ -19,8 +20,13 @@ import (
 )
 
 // fakePeer builds a deterministic in-process source address.
-func fakePeer(i int) *net.UDPAddr {
-	return &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1), Port: 20000 + i}
+func fakePeer(i int) netip.AddrPort {
+	return netip.AddrPortFrom(netip.AddrFrom4([4]byte{127, 0, 0, 1}), uint16(20000+i))
+}
+
+// injectOne ingests one datagram from the given source.
+func injectOne(srv *Server, d []byte, from netip.AddrPort) {
+	srv.InjectBatch([][]byte{d}, []netip.AddrPort{from})
 }
 
 // shardRunResult is everything observable from one deterministic
@@ -37,7 +43,7 @@ type shardRunResult struct {
 }
 
 // runShardWorkload drives one seeded multi-peer workload through the
-// in-process ingestion path (Inject + ControlOut): P peers with
+// in-process ingestion path (InjectBatch + ControlOut): P peers with
 // distinct C.IDs (two sharing a C.ID from different sources), datagrams
 // interleaved round-robin, one datagram deterministically corrupted to
 // produce findings. No socket and no timer is involved — every
@@ -112,7 +118,7 @@ func runShardWorkload(t *testing.T, shards int) shardRunResult {
 		progressed := false
 		for i := 0; i < peers; i++ {
 			if round < len(queues[i]) {
-				srv.Inject(queues[i][round], fakePeer(i))
+				injectOne(srv, queues[i][round], fakePeer(i))
 				progressed = true
 			}
 		}
@@ -211,7 +217,7 @@ func TestMaxConnsAdmission(t *testing.T) {
 		}
 		// One establishment attempt per peer: refusal is counted per
 		// attempted datagram, so keep the attempt count explicit.
-		srv.Inject(dgrams[0], fakePeer(i))
+		injectOne(srv, dgrams[0], fakePeer(i))
 	}
 	if got := srv.ConnCount(); got != 2 {
 		t.Fatalf("ConnCount = %d, want 2 (cap)", got)
@@ -253,7 +259,7 @@ func TestMaxConnsRefusedTelemetry(t *testing.T) {
 		if err := s.Flush(); err != nil {
 			t.Fatal(err)
 		}
-		srv.Inject(dgrams[0], fakePeer(i))
+		injectOne(srv, dgrams[0], fakePeer(i))
 	}
 	snap := reg.Snapshot()
 	if got := snap.Scopes["server"].Counters["conns_refused"]; got != 2 {
@@ -282,7 +288,7 @@ func TestTelemetryScopesBounded(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, d := range dgrams {
-				srv.Inject(d, fakePeer(i))
+				injectOne(srv, d, fakePeer(i))
 			}
 		}
 	}
@@ -371,7 +377,7 @@ func TestExpiryCallbackOrder(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, d := range dgrams {
-				srv.Inject(d, fakePeer(i))
+				injectOne(srv, d, fakePeer(i))
 			}
 			want = append(want, fmt.Sprintf("%d@%s", 1+i%3, fakePeer(i)))
 		}

@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 	"net"
+	"net/netip"
 	"runtime"
 	"sort"
 	"sync"
@@ -21,7 +22,7 @@ import (
 //
 // Two ingestion paths are driven:
 //
-//   - pipe: datagrams are injected in-process (Server.Inject +
+//   - pipe: datagrams are injected in-process (Server.InjectBatch +
 //     Config.ControlOut), so the numbers isolate the engine — demux
 //     hash, shard lock, receiver, timer wheel — from socket I/O.
 //     ACK latency here is the synchronous span from datagram ingestion
@@ -72,7 +73,7 @@ type scaleWorkload struct {
 
 type scaleInjection struct {
 	d    []byte
-	peer *net.UDPAddr
+	peer netip.AddrPort
 }
 
 const (
@@ -83,8 +84,8 @@ const (
 	scaleUDPSockets = 32
 )
 
-func scalePeer(i int) *net.UDPAddr {
-	return &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1), Port: 30000 + i%20000}
+func scalePeer(i int) netip.AddrPort {
+	return netip.AddrPortFrom(netip.AddrFrom4([4]byte{127, 0, 0, 1}), uint16(30000+i%20000))
 }
 
 // buildScaleWorkload generates the seeded datagrams for one count:
@@ -159,9 +160,9 @@ func seededBytes(seed int64, n int) []byte {
 	return b
 }
 
-// injectAll drives the schedule through srv.Inject from
-// scaleInjectors goroutines (stride partition) and returns the
-// wall-clock span and, optionally, every per-injection latency.
+// injectAll drives the schedule through srv.InjectBatch, one datagram
+// per call, from scaleInjectors goroutines (stride partition) and
+// returns the wall-clock span and, optionally, every per-injection latency.
 func injectAll(srv *core.Server, sched []scaleInjection, sample bool) (time.Duration, []time.Duration) {
 	lat := make([][]time.Duration, scaleInjectors)
 	var wg sync.WaitGroup
@@ -173,10 +174,10 @@ func injectAll(srv *core.Server, sched []scaleInjection, sample bool) (time.Dura
 			for i := g; i < len(sched); i += scaleInjectors {
 				if sample {
 					t0 := time.Now() //lint:allow detrand measured timing column of the experiment table
-					srv.Inject(sched[i].d, sched[i].peer)
+					srv.InjectBatch([][]byte{sched[i].d}, []netip.AddrPort{sched[i].peer})
 					lat[g] = append(lat[g], time.Since(t0)) //lint:allow detrand measured timing column of the experiment table
 				} else {
-					srv.Inject(sched[i].d, sched[i].peer)
+					srv.InjectBatch([][]byte{sched[i].d}, []netip.AddrPort{sched[i].peer})
 				}
 			}
 		}(g)
@@ -276,7 +277,7 @@ func runScaleUDP(w *scaleWorkload, m scaleMode) (ScaleRow, error) {
 				for i := g; i < len(sched); i += scaleInjectors {
 					// A connection's datagrams always leave the same
 					// socket: (C.ID, source) must stay stable.
-					_, _ = socks[sched[i].peer.Port%scaleUDPSockets].Write(sched[i].d)
+					_, _ = socks[int(sched[i].peer.Port())%scaleUDPSockets].Write(sched[i].d)
 				}
 			}(g)
 		}
@@ -423,7 +424,7 @@ func C1Run(seed int64, quick bool) (*Table, *ScaleResult, error) {
 			fmt.Sprintf("%.1f", r.AckP50Micros), fmt.Sprintf("%.1f", r.AckP99Micros), mem)
 	}
 	t.note("share-nothing shards: chunk labels carry connection identity, so a datagram is processed to completion under one shard lock — no cross-connection state exists to share (GOMAXPROCS=%d here; shard wins grow with cores)", runtime.GOMAXPROCS(0))
-	t.note("pipe = in-process ingestion (Server.Inject), isolating demux+shard+receiver+wheel from socket I/O; ACK latency there is the synchronous ingestion→ACK span")
+	t.note("pipe = in-process ingestion (Server.InjectBatch), isolating demux+shard+receiver+wheel from socket I/O; ACK latency there is the synchronous ingestion→ACK span")
 	t.note("B/idle conn = heap delta per established-then-quiescent connection; shards=1+perconn-tel is the pre-PR default (one telemetry scope per connection)")
 	if quick {
 		t.note("quick mode: reduced counts, pipe path only — run `chunkbench -exp C1` for the full 1k→100k sweep and BENCH_scale.json")

@@ -355,6 +355,36 @@ func goDirs(root string) ([]string, error) {
 	return dirs, err
 }
 
+// GoLines counts the lines of the module's non-test Go files under
+// root, over the directories Load walks (testdata, hidden and nested
+// module directories excluded) and across every build constraint: the
+// size yardstick chunklint -stats reports.
+func GoLines(root string) (int, error) {
+	dirs, err := goDirs(root)
+	if err != nil {
+		return 0, err
+	}
+	n := 0
+	for _, d := range dirs {
+		ents, err := os.ReadDir(d)
+		if err != nil {
+			return 0, err
+		}
+		for _, e := range ents {
+			name := e.Name()
+			if e.IsDir() || !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
+				continue
+			}
+			b, err := os.ReadFile(filepath.Join(d, name))
+			if err != nil {
+				return 0, err
+			}
+			n += bytes.Count(b, []byte{'\n'})
+		}
+	}
+	return n, nil
+}
+
 func hasGoFiles(dir string) (bool, error) {
 	ents, err := os.ReadDir(dir)
 	if err != nil {

@@ -8,7 +8,7 @@ import (
 	"chunks/internal/packet"
 )
 
-// adaptiveSender builds a sender on the adaptive (time-based) path,
+// adaptiveSender builds a sender with the given timer settings,
 // capturing every emitted datagram.
 func adaptiveSender(t *testing.T, cfg SenderConfig, sink *[][]byte) *Sender {
 	t.Helper()
@@ -332,5 +332,76 @@ func TestReapDisabledByDefault(t *testing.T) {
 	}
 	if got := r.PendingTPDUs(); got != 1 {
 		t.Fatalf("pending TPDUs %d, want 1", got)
+	}
+}
+
+// TestRetransmitLogBounded: a sender retrying a dead peer forever
+// (MaxRetries 0) keeps only the most recent retransmitLogCap events,
+// oldest first, instead of one per retransmission for its lifetime.
+func TestRetransmitLogBounded(t *testing.T) {
+	s := NewSender(SenderConfig{CID: 1, TPDUElems: 8}, func([]byte) {})
+	if err := s.Write(make([]byte, 2*8*4)); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	// Each poll lands one MaxRTO later, so every TPDU is due each time.
+	var now time.Duration
+	for i := 0; i < 3*retransmitLogCap; i++ {
+		now += s.cfg.MaxRTO
+		if err := s.PollAt(now); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if s.Retransmits <= retransmitLogCap {
+		t.Fatalf("only %d retransmissions; the test must poll past the cap", s.Retransmits)
+	}
+	log := s.RetransmitLog
+	if len(log) > retransmitLogCap {
+		t.Fatalf("RetransmitLog holds %d events, cap %d", len(log), retransmitLogCap)
+	}
+	if log[len(log)-1].At != now {
+		t.Fatalf("newest event at %v, want the last poll %v", log[len(log)-1].At, now)
+	}
+	for i := 1; i < len(log); i++ {
+		if log[i].At < log[i-1].At {
+			t.Fatalf("event %d at %v precedes event %d at %v", i, log[i].At, i-1, log[i-1].At)
+		}
+	}
+}
+
+// TestPollAtIdleZeroAlloc: a PollAt with TPDUs in flight but no timer
+// due allocates nothing; a Conn runs one every PollEvery.
+func TestPollAtIdleZeroAlloc(t *testing.T) {
+	s := NewSender(SenderConfig{CID: 1, TPDUElems: 8}, func([]byte) {})
+	if err := s.Write(make([]byte, 5*8*4)); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	// One ACK stops the open-signal repeat, which is not idle work.
+	ack := Ack(1, 0)
+	if err := s.HandleControlAt(&ack, 0); err != nil {
+		t.Fatal(err)
+	}
+	if s.Unacked() != 4 {
+		t.Fatalf("Unacked = %d, want 4", s.Unacked())
+	}
+	poll := func() {
+		if err := s.PollAt(time.Millisecond); err != nil {
+			t.Fatal(err)
+		}
+	}
+	poll() // size the scan scratch
+	if raceEnabled {
+		t.Skip("race instrumentation allocates; the alloc count is pinned in the uninstrumented build")
+	}
+	if allocs := testing.AllocsPerRun(100, poll); allocs != 0 {
+		t.Errorf("idle PollAt allocates %.1f objects, want 0", allocs)
+	}
+	if s.Retransmits != 0 {
+		t.Fatalf("idle PollAt retransmitted %d times", s.Retransmits)
 	}
 }

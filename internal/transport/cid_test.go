@@ -141,7 +141,7 @@ func TestSenderIgnoresForeignControl(t *testing.T) {
 	ack, nack := Ack(99, tid), Nack(99, tid, nil)
 	sent = 0
 	for _, c := range []*chunk.Chunk{&ack, &nack} {
-		if err := s.HandleControl(c); err != nil {
+		if err := s.HandleControlAt(c, 0); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -155,7 +155,7 @@ func TestSenderIgnoresForeignControl(t *testing.T) {
 		t.Fatalf("control_foreign = %d, want 2", got)
 	}
 	own := Ack(1, tid)
-	if err := s.HandleControl(&own); err != nil {
+	if err := s.HandleControlAt(&own, 0); err != nil {
 		t.Fatal(err)
 	}
 	if s.Unacked() != 0 {

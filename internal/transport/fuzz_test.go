@@ -64,7 +64,7 @@ func TestSenderArbitraryControl(t *testing.T) {
 			payload = []byte{0}
 		}
 		c := chunk.Chunk{Type: ct, Size: size, Len: 1, T: chunk.Tuple{ID: tid}, Payload: payload}
-		_ = s.HandleControl(&c) // must not panic
+		_ = s.HandleControlAt(&c, 0) // must not panic
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 1000}); err != nil {

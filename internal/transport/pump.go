@@ -2,13 +2,14 @@ package transport
 
 import (
 	"math/rand"
+	"time"
 
 	"chunks/internal/packet"
 )
 
 // PumpConfig parameterises the synchronous delivery loop that connects
 // a Sender and Receiver in experiments: a lossy, optionally
-// reordering, bidirectional datagram pipe with round-based timers.
+// reordering, bidirectional datagram pipe on a virtual clock.
 type PumpConfig struct {
 	Seed int64
 	// LossData is the drop probability for sender->receiver
@@ -33,9 +34,17 @@ type PumpResult struct {
 	Drained bool
 }
 
+// pumpTick is the virtual time one pump round takes. Delivery itself
+// takes none: a round delivers everything in flight, then the clock
+// advances one tick and the timers run. With the sender's default
+// InitialRTO of three ticks, a TPDU sent before round k whose ACK never
+// comes is retransmitted at the end of round k+2.
+const pumpTick = 20 * time.Millisecond
+
 // A Pump owns a Sender/Receiver pair wired back-to-back through the
 // lossy pipe. Use S to write application data, then Run to drive
-// delivery and retransmission to quiescence.
+// delivery and retransmission to quiescence. The sender runs on the
+// pump's virtual clock, rounds × pumpTick.
 type Pump struct {
 	S *Sender
 	R *Receiver
@@ -44,6 +53,7 @@ type Pump struct {
 	rng    *rand.Rand
 	toRecv [][]byte
 	toSend [][]byte
+	now    time.Duration // virtual clock: rounds completed × pumpTick
 }
 
 // NewPump builds the wired pair.
@@ -61,7 +71,9 @@ func NewPump(scfg SenderConfig, rcfg ReceiverConfig, pcfg PumpConfig) (*Pump, er
 	return p, nil
 }
 
-// Step runs one delivery round and reports datagram counts.
+// Step runs one round and reports datagram counts: everything in
+// flight is delivered at the current virtual time, then the clock
+// advances one pumpTick and both ends run their timers.
 func (p *Pump) Step() (data, ctrl int, err error) {
 	outgoing := p.toRecv
 	p.toRecv = nil
@@ -90,14 +102,15 @@ func (p *Pump) Step() (data, ctrl int, err error) {
 			return data, ctrl, err
 		}
 		for i := range pk.Chunks {
-			if err := p.S.HandleControl(&pk.Chunks[i]); err != nil {
+			if err := p.S.HandleControlAt(&pk.Chunks[i], p.now); err != nil {
 				return data, ctrl, err
 			}
 		}
 	}
 
+	p.now += pumpTick
 	p.R.Poll()
-	if err := p.S.Poll(); err != nil {
+	if err := p.S.PollAt(p.now); err != nil {
 		return data, ctrl, err
 	}
 	return data, ctrl, nil

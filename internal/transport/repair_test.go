@@ -3,6 +3,7 @@ package transport
 import (
 	"bytes"
 	"testing"
+	"time"
 
 	"chunks/internal/chunk"
 	"chunks/internal/errdet"
@@ -32,6 +33,7 @@ func runWithBitFlip(t *testing.T, repair bool) (*Receiver, *Sender, []byte) {
 	}
 
 	flipped := false
+	var now time.Duration // virtual clock, advanced as the Pump does
 	for round := 0; round < 50; round++ {
 		out := toRecv
 		toRecv = nil
@@ -56,13 +58,14 @@ func runWithBitFlip(t *testing.T, repair bool) (*Receiver, *Sender, []byte) {
 				t.Fatal(err)
 			}
 			for i := range pk.Chunks {
-				if err := s.HandleControl(&pk.Chunks[i]); err != nil {
+				if err := s.HandleControlAt(&pk.Chunks[i], now); err != nil {
 					t.Fatal(err)
 				}
 			}
 		}
+		now += pumpTick
 		r.Poll()
-		if err := s.Poll(); err != nil {
+		if err := s.PollAt(now); err != nil {
 			t.Fatal(err)
 		}
 		if s.Drained() && len(toRecv) == 0 && len(toSend) == 0 {
@@ -193,6 +196,7 @@ func TestPoisonedFirstChunkRecovers(t *testing.T) {
 	}
 
 	poisoned := false
+	var now time.Duration // virtual clock, advanced as the Pump does
 	for round := 0; round < 80; round++ {
 		out := toRecv
 		toRecv = nil
@@ -218,13 +222,14 @@ func TestPoisonedFirstChunkRecovers(t *testing.T) {
 				t.Fatal(err)
 			}
 			for i := range pk.Chunks {
-				if err := s.HandleControl(&pk.Chunks[i]); err != nil {
+				if err := s.HandleControlAt(&pk.Chunks[i], now); err != nil {
 					t.Fatal(err)
 				}
 			}
 		}
+		now += pumpTick
 		r.Poll()
-		if err := s.Poll(); err != nil {
+		if err := s.PollAt(now); err != nil {
 			t.Fatal(err)
 		}
 		if s.Drained() && len(toRecv) == 0 && len(toSend) == 0 {

@@ -3,7 +3,7 @@ package transport
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 	"time"
 
@@ -29,24 +29,16 @@ type SenderConfig struct {
 	// Adapt enables Kent/Mogul-response sizing: halve the TPDU on
 	// retransmission, grow it back on clean ACKs.
 	Adapt bool
-	// RetransmitAfter is the number of Poll rounds an unacked TPDU
-	// waits before being retransmitted wholesale; 0 means 3. It
-	// governs only the legacy round-based Poll path; the adaptive
-	// time-based path (InitialRTO > 0, driven through PollAt) replaces
-	// it with the RTT estimator below.
-	RetransmitAfter int
-
-	// InitialRTO, when > 0, enables the adaptive retransmission path:
-	// the timeout for each TPDU is a Jacobson-style smoothed RTT +
-	// 4*variance estimate seeded from ACK timing (Karn's rule: samples
-	// are taken only from TPDUs that were never retransmitted), with
-	// per-TPDU exponential backoff on successive timer-driven
-	// retransmissions. InitialRTO is the timeout used before the first
-	// RTT sample arrives. Drive the adaptive path with PollAt and
+	// InitialRTO is the retransmission timeout before the first RTT
+	// sample; 0 means 60ms. After that the timeout for each TPDU is a
+	// Jacobson-style smoothed RTT + 4*variance estimate seeded from ACK
+	// timing (Karn's rule: samples are taken only from TPDUs that were
+	// never retransmitted), with per-TPDU exponential backoff on
+	// successive timer-driven retransmissions. Drive it with PollAt and
 	// HandleControlAt, feeding a monotonic time offset.
 	InitialRTO time.Duration
-	// MinRTO and MaxRTO clamp the adaptive timeout; 0 means 5ms and
-	// 3s respectively. MaxRTO also caps the per-TPDU backoff.
+	// MinRTO and MaxRTO clamp the timeout; 0 means 5ms and 3s
+	// respectively. MaxRTO also caps the per-TPDU backoff.
 	MinRTO time.Duration
 	MaxRTO time.Duration
 	// MaxRetries bounds successive timer-driven retransmissions of a
@@ -75,16 +67,14 @@ func (c *SenderConfig) fill() {
 	if c.MinTPDUElems == 0 {
 		c.MinTPDUElems = 8
 	}
-	if c.RetransmitAfter == 0 {
-		c.RetransmitAfter = 3
+	if c.InitialRTO == 0 {
+		c.InitialRTO = 60 * time.Millisecond
 	}
-	if c.InitialRTO > 0 {
-		if c.MinRTO == 0 {
-			c.MinRTO = 5 * time.Millisecond
-		}
-		if c.MaxRTO == 0 {
-			c.MaxRTO = 3 * time.Second
-		}
+	if c.MinRTO == 0 {
+		c.MinRTO = 5 * time.Millisecond
+	}
+	if c.MaxRTO == 0 {
+		c.MaxRTO = 3 * time.Second
 	}
 	if c.Layout.DataSymbols == 0 {
 		c.Layout = errdet.DefaultLayout()
@@ -110,13 +100,11 @@ var (
 // capacity across TPDUs, so the steady-state send path allocates
 // nothing per TPDU.
 type tpduRec struct {
-	chunks   []chunk.Chunk // pre-fragmentation chunks (identifiers reused verbatim on retransmission)
-	payload  []byte        // backing store the chunk payloads alias
-	edbuf    []byte        // backing store of ed.Payload
-	ed       chunk.Chunk
-	lastSent int // Poll round of last (re)transmission (legacy path)
+	chunks  []chunk.Chunk // pre-fragmentation chunks (identifiers reused verbatim on retransmission)
+	payload []byte        // backing store the chunk payloads alias
+	edbuf   []byte        // backing store of ed.Payload
+	ed      chunk.Chunk
 
-	// Adaptive-path state (InitialRTO > 0).
 	sentAt        time.Duration // timeline position of last (re)transmission
 	rto           time.Duration // current per-TPDU timeout (doubles on backoff)
 	retries       int           // timer-driven retransmissions so far
@@ -133,8 +121,8 @@ func getRec() *tpduRec {
 	return rec //lint:allow poolsafe getRec IS the ownership transfer; putRec recycles on ACK
 }
 
-// A RetransmitEvent records one timer-driven retransmission on the
-// adaptive path, for backoff assertions and diagnostics.
+// A RetransmitEvent records one timer-driven retransmission, for
+// backoff assertions and diagnostics.
 type RetransmitEvent struct {
 	TID uint32        // retransmitted TPDU (CloseAckTID for the close signal)
 	At  time.Duration // timeline position of the retransmission
@@ -159,7 +147,6 @@ type Sender struct {
 	opened     bool
 	closed     bool
 	closeAcked bool
-	round      int
 
 	unacked map[uint32]*tpduRec
 
@@ -171,9 +158,9 @@ type Sender struct {
 	initialTPDUElems int
 	cleanAcks        int // consecutive ACKs since the last retransmission
 
-	// Adaptive-path state (InitialRTO > 0). The timeline is a caller-
-	// supplied monotonic offset (time.Since of a connection epoch for
-	// real sockets, a synthetic clock in simulations) so that no
+	// Retransmission timer state. The timeline is a caller-supplied
+	// monotonic offset (time.Since of a connection epoch for real
+	// sockets, a virtual clock in the Pump and in tests) so that no
 	// wall-clock reads happen inside protocol logic.
 	now          time.Duration // latest observed timeline position
 	srtt         time.Duration // smoothed RTT
@@ -184,9 +171,13 @@ type Sender struct {
 	closeRTO     time.Duration
 	closeRetries int
 
-	// RetransmitLog records every timer-driven retransmission on the
-	// adaptive path, in order.
+	// RetransmitLog records the most recent timer-driven
+	// retransmissions, oldest first: at most retransmitLogCap, so a
+	// sender retrying a dead peer forever holds bounded memory.
 	RetransmitLog []RetransmitEvent
+
+	// pollTIDs is PollAt's scratch for the sorted in-flight scan.
+	pollTIDs []uint32
 
 	// Counters for experiments.
 	TPDUsSent   int
@@ -384,7 +375,6 @@ func (s *Sender) cutTPDU(n int) error {
 	rec.ed = errdet.EDChunkAppend(s.cfg.CID, tid, start, par, rec.edbuf)
 	rec.edbuf = rec.ed.Payload
 
-	rec.lastSent = s.round
 	rec.sentAt = s.now
 	rec.rto = s.currentRTO()
 	s.unacked[tid] = rec
@@ -425,15 +415,10 @@ func (s *Sender) emit(chs []chunk.Chunk) error {
 	return nil
 }
 
-// HandleControl processes a control chunk (ACK/NACK) from the peer.
+// HandleControlAt processes a control chunk (ACK/NACK) from the peer
+// at timeline position now; ACK timing feeds the RTT estimator.
 //
 //lint:hot
-func (s *Sender) HandleControl(c *chunk.Chunk) error {
-	return s.HandleControlAt(c, s.now)
-}
-
-// HandleControlAt is HandleControl with an explicit timeline position,
-// used by the adaptive path to derive RTT samples from ACK timing.
 func (s *Sender) HandleControlAt(c *chunk.Chunk, now time.Duration) error {
 	s.observe(now)
 	if (c.Type == chunk.TypeAck || c.Type == chunk.TypeNack) && c.C.ID != s.cfg.CID {
@@ -457,7 +442,7 @@ func (s *Sender) HandleControlAt(c *chunk.Chunk, now time.Duration) error {
 			return nil
 		}
 		if rec, ok := s.unacked[tid]; ok {
-			if s.cfg.InitialRTO > 0 && !rec.retransmitted {
+			if !rec.retransmitted {
 				s.sample(s.now - rec.sentAt)
 			}
 			s.tel.retries.Observe(int64(rec.retries))
@@ -502,7 +487,6 @@ func (s *Sender) retransmit(tid uint32, missing []vr.Interval) error {
 	}
 	out = append(out, rec.ed)
 	s.sendScratch = out
-	rec.lastSent = s.round
 	// A NACK proves the peer is alive and requesting: defer the
 	// retransmission timer but neither back off nor count a retry
 	// (those are reserved for silence). Karn's rule still applies.
@@ -568,51 +552,32 @@ func (s *Sender) grow() {
 	}
 }
 
-// Poll advances the retransmission clock one round: unacked TPDUs
-// older than RetransmitAfter rounds are re-sent whole (identifiers
-// unchanged). Call it once per pump iteration.
-func (s *Sender) Poll() error {
-	s.round++
-	// Signaling chunks are not covered by ACKs, so they are repeated
-	// on the timer: the open signal until the first ACK proves the
-	// peer is hearing us, the close signal for as long as we poll.
-	if s.opened && s.AcksSeen == 0 && len(s.unacked) > 0 {
-		if err := s.emit([]chunk.Chunk{SignalOpen(s.cfg.CID, s.cfg.ElemSize, 0)}); err != nil {
-			return err
-		}
+// retransmitLogCap bounds RetransmitLog.
+const retransmitLogCap = 256
+
+// logRetransmit appends ev to RetransmitLog, dropping the oldest event
+// once the log holds retransmitLogCap.
+func (s *Sender) logRetransmit(ev RetransmitEvent) {
+	if len(s.RetransmitLog) == retransmitLogCap {
+		s.RetransmitLog = s.RetransmitLog[:copy(s.RetransmitLog, s.RetransmitLog[1:])]
 	}
-	if s.closed && !s.closeAcked {
-		if err := s.emit([]chunk.Chunk{SignalClose(s.cfg.CID, s.csn)}); err != nil {
-			return err
-		}
-	}
-	for _, tid := range s.unackedTIDs() {
-		rec := s.unacked[tid]
-		if s.round-rec.lastSent >= s.cfg.RetransmitAfter {
-			s.Retransmits++
-			s.tel.retransmit.Inc()
-			s.tel.ring.Record(telemetry.EvRetransmit, s.cfg.CID, tid, rec.chunks[0].C.SN, 0)
-			s.adapt()
-			rec.lastSent = s.round
-			if err := s.emit(s.withED(rec.chunks, rec.ed)); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
+	s.RetransmitLog = append(s.RetransmitLog, ev)
 }
 
-// unackedTIDs returns the in-flight TPDU IDs in ascending order.
-// Retransmission scans must not follow Go's randomized map iteration
-// order: the emit order decides which datagrams a seeded lossy pipe
-// drops, so map order would make seeded runs diverge run-to-run
-// (determinism is a repo-wide test invariant).
+// unackedTIDs returns the in-flight TPDU IDs in ascending order, in
+// sender-owned scratch valid until the next call. Retransmission scans
+// must not follow Go's randomized map iteration order: the emit order
+// decides which datagrams a seeded lossy pipe drops, so map order
+// would make seeded runs diverge run-to-run (determinism is a
+// repo-wide test invariant). slices.Sort needs no closure, so an idle
+// PollAt allocates nothing.
 func (s *Sender) unackedTIDs() []uint32 {
-	tids := make([]uint32, 0, len(s.unacked))
+	tids := s.pollTIDs[:0]
 	for tid := range s.unacked {
 		tids = append(tids, tid)
 	}
-	sort.Slice(tids, func(i, j int) bool { return tids[i] < tids[j] })
+	slices.Sort(tids)
+	s.pollTIDs = tids
 	return tids
 }
 
@@ -646,11 +611,8 @@ func (s *Sender) sample(rtt time.Duration) {
 
 // currentRTO returns the timeout a freshly sent TPDU gets: SRTT +
 // 4*RTTVAR clamped to [MinRTO, MaxRTO], or InitialRTO before the first
-// sample. Zero while the adaptive path is disabled.
+// sample.
 func (s *Sender) currentRTO() time.Duration {
-	if s.cfg.InitialRTO == 0 {
-		return 0
-	}
 	if !s.haveRTT {
 		return s.clampRTO(s.cfg.InitialRTO)
 	}
@@ -676,12 +638,12 @@ func (s *Sender) RTO() time.Duration { return s.currentRTO() }
 // Dead reports that the sender gave up on the peer (MaxRetries).
 func (s *Sender) Dead() bool { return s.dead }
 
-// PollAt runs the adaptive retransmission pass at timeline position
-// now: every unacked TPDU whose timeout expired is retransmitted whole
+// PollAt runs the retransmission pass at timeline position now: every
+// unacked TPDU whose timeout expired is retransmitted whole
 // (identifiers unchanged), its timeout doubled (clamped to MaxRTO) and
 // its retry counted; a TPDU — or the close signal — about to exceed
 // MaxRetries kills the connection instead and PollAt returns
-// ErrPeerDead (and keeps returning it). Requires InitialRTO > 0.
+// ErrPeerDead (and keeps returning it).
 func (s *Sender) PollAt(now time.Duration) error {
 	if s.dead {
 		return ErrPeerDead
@@ -702,7 +664,7 @@ func (s *Sender) PollAt(now time.Duration) error {
 			return ErrPeerDead
 		}
 		s.closeRetries++
-		s.RetransmitLog = append(s.RetransmitLog, RetransmitEvent{TID: CloseAckTID, At: s.now, RTO: s.closeRTO})
+		s.logRetransmit(RetransmitEvent{TID: CloseAckTID, At: s.now, RTO: s.closeRTO})
 		s.closeSentAt = s.now
 		s.closeRTO = s.clampRTO(2 * s.closeRTO)
 		if err := s.emit([]chunk.Chunk{SignalClose(s.cfg.CID, s.csn)}); err != nil {
@@ -721,7 +683,7 @@ func (s *Sender) PollAt(now time.Duration) error {
 		}
 		rec.retries++
 		rec.retransmitted = true
-		s.RetransmitLog = append(s.RetransmitLog, RetransmitEvent{TID: tid, At: s.now, RTO: rec.rto})
+		s.logRetransmit(RetransmitEvent{TID: tid, At: s.now, RTO: rec.rto})
 		s.tel.rto.Observe(rec.rto.Microseconds())
 		s.tel.ring.Record(telemetry.EvRetransmit, s.cfg.CID, tid, rec.chunks[0].C.SN, int64(rec.retries))
 		rec.sentAt = s.now

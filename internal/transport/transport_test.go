@@ -290,7 +290,7 @@ func TestStaleNackIgnored(t *testing.T) {
 	}
 	// All acked; a stale NACK must be harmless.
 	n := Nack(1, 0, nil)
-	if err := p.S.HandleControl(&n); err != nil {
+	if err := p.S.HandleControlAt(&n, p.now); err != nil {
 		t.Fatal(err)
 	}
 	if p.S.Retransmits != 0 {

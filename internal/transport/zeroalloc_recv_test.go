@@ -52,7 +52,7 @@ func newSteadyRecvPair(tb testing.TB) (s *Sender, r *Receiver, step func()) {
 				tb.Fatal(err)
 			}
 			for i := range ackPkt.Chunks {
-				if err := s.HandleControl(&ackPkt.Chunks[i]); err != nil {
+				if err := s.HandleControlAt(&ackPkt.Chunks[i], 0); err != nil {
 					tb.Fatal(err)
 				}
 			}

@@ -36,7 +36,7 @@ func newSteadySender(tb testing.TB) (s *Sender, step func()) {
 		}
 		binary.BigEndian.PutUint32(ackPayload, tid)
 		ack.T.ID = tid
-		if err := s.HandleControl(&ack); err != nil {
+		if err := s.HandleControlAt(&ack, 0); err != nil {
 			tb.Fatal(err)
 		}
 	}
